@@ -24,9 +24,10 @@ const (
 	pipelineDepth = 64
 )
 
-// benchServer starts a plaintext CoreEngine server (crypto off so the
-// numbers isolate dispatch, framing and syscall costs) and one client.
-func benchServer(b *testing.B) (*client.Client, func()) {
+// benchServer starts a plaintext server (crypto off so the numbers
+// isolate dispatch, framing and syscall costs) over a partitioned store
+// wrapped by engine, and one client.
+func benchServer(b *testing.B, engine func(*core.Partitioned) Engine) (*client.Client, func()) {
 	b.Helper()
 	e := newEnclave()
 	p := core.NewPartitioned(e, 4, core.Defaults(4096))
@@ -35,7 +36,7 @@ func benchServer(b *testing.B) (*client.Client, func()) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := Serve(ln, Config{Engine: CoreEngine{p}, Enclave: e, Secure: false, Logf: b.Logf})
+	s := Serve(ln, Config{Engine: engine(p), Enclave: e, Secure: false, Logf: b.Logf})
 	c, err := client.Dial(ln.Addr().String(), client.Options{Secure: false})
 	if err != nil {
 		b.Fatal(err)
@@ -52,6 +53,8 @@ func benchServer(b *testing.B) (*client.Client, func()) {
 	}
 }
 
+func asyncEngine(p *core.Partitioned) Engine { return CoreEngine{p} }
+
 func benchKey(i int) []byte { return []byte(fmt.Sprintf("bench-key-%05d", i%benchKeys)) }
 
 func benchVal(i int) []byte {
@@ -64,8 +67,17 @@ func benchVal(i int) []byte {
 
 // BenchmarkDispatchSyncGet is the seed-style strict request/response
 // loop: every op pays a full loopback round trip.
-func BenchmarkDispatchSyncGet(b *testing.B) {
-	c, stop := benchServer(b)
+func BenchmarkDispatchSyncGet(b *testing.B) { benchSyncGet(b, asyncEngine) }
+
+// BenchmarkDispatchSyncGetPlainEngine is the same loop behind a
+// synchronous Engine (no Submit), so each get executes inline on the
+// connection's reader — the path shieldstore.DB is served on.
+func BenchmarkDispatchSyncGetPlainEngine(b *testing.B) {
+	benchSyncGet(b, func(p *core.Partitioned) Engine { return syncEngine{p} })
+}
+
+func benchSyncGet(b *testing.B, engine func(*core.Partitioned) Engine) {
+	c, stop := benchServer(b, engine)
 	defer stop()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -79,7 +91,7 @@ func BenchmarkDispatchSyncGet(b *testing.B) {
 // BenchmarkDispatchPipelinedGet keeps pipelineDepth frames in flight per
 // flush: the server-side dispatch path (not the round trip) is the limit.
 func BenchmarkDispatchPipelinedGet(b *testing.B) {
-	c, stop := benchServer(b)
+	c, stop := benchServer(b, asyncEngine)
 	defer stop()
 	pl := c.Pipeline()
 	b.ReportAllocs()
@@ -105,7 +117,7 @@ func BenchmarkDispatchPipelinedGet(b *testing.B) {
 // BenchmarkDispatchPipelinedMixed is the pipelined loop under a 50/50
 // get/set mix, exercising both the read and mutation dispatch paths.
 func BenchmarkDispatchPipelinedMixed(b *testing.B) {
-	c, stop := benchServer(b)
+	c, stop := benchServer(b, asyncEngine)
 	defer stop()
 	pl := c.Pipeline()
 	b.ReportAllocs()

@@ -3,7 +3,8 @@
 // bounded response queue. The reader decodes frames into pooled buffers
 // and submits operations to the engine's partition workers without
 // waiting, so a client's pipelined frames execute concurrently across
-// partitions; the writer resolves each request in submission order,
+// partitions (engines without Submit execute inline on the reader, on the
+// same request path); the writer resolves each request in submission order,
 // which keeps responses (and the channel's nonce sequence) ordered no
 // matter how execution interleaved. Writes coalesce in a bufio.Writer
 // that flushes when the queue runs dry, so a burst of responses shares
@@ -27,18 +28,25 @@ const (
 	defaultWriteBuffer   = 32 << 10
 )
 
-// pending is one request travelling from the reader to the writer.
-// Exactly one of call, bcall, or resp is set. The frame buffer is held
-// until the writer resolves the request: async submissions reference the
+// pending is one request travelling from the reader to the writer. A
+// control command or malformed request leaves cmd zero and its answer in
+// resp. A data command sets cmd and ops, and its engine result is either
+// in flight (call or bcall, async engines) or already in rs (inline
+// execution, or nothing left to run after the fence). The frame buffer
+// is held until the writer resolves the request: ops reference the
 // frame's bytes (zero-copy key/value views), so it must not be recycled
 // earlier.
 type pending struct {
-	fp    *[]byte         // pooled frame buffer backing the request views
-	cmd   proto.Command   // decoded command (drives response mapping)
-	call  *core.Call      // in-flight single op (async engines)
-	bcall *core.BatchCall // in-flight batch / MGet (async engines)
-	ops   []core.BatchOp  // batch ops (kinds drive result mapping)
-	resp  proto.Response  // resolved response (sync path)
+	fp     *[]byte             // pooled frame buffer backing the request views
+	cmd    proto.Command       // data command (drives response mapping); 0 for resp
+	ops    []core.BatchOp      // the request's ops (kinds drive result mapping)
+	fenced bool                // Writable refused: only ops' reads reached the engine
+	call   *core.Call          // in-flight single op (async engines)
+	bcall  *core.BatchCall     // in-flight batch / MGet (async engines)
+	rs     []core.BatchResult  // results of the ops that reached the engine
+	op     [1]core.BatchOp     // backing for a single command's ops
+	res    [1]core.BatchResult // backing for a single command's rs
+	resp   proto.Response      // answer to a control command or malformed request
 }
 
 var pendingPool = sync.Pool{New: func() any { return new(pending) }}
@@ -54,10 +62,10 @@ var framePool = sync.Pool{
 }
 
 // connReader reads, decrypts and decodes frames, hands each request to
-// the engine (asynchronously when it supports it), and enqueues the
-// in-flight slot on the bounded writer queue — the queue's capacity is
-// the connection's pipeline depth, and enqueueing is the only place the
-// reader blocks on the writer.
+// the engine (asynchronously when it supports Submit, inline otherwise),
+// and enqueues the slot on the bounded writer queue — the queue's
+// capacity is the connection's pipeline depth, and enqueueing is the only
+// place the reader blocks on the writer.
 //
 //ss:ecall
 //ss:attacker — frames arrive from the adversary-controlled socket.
@@ -104,54 +112,49 @@ func (s *Server) connReader(conn net.Conn, ch *proto.Channel, wq chan<- *pending
 	}
 }
 
-// dispatch decodes one request payload into pd: submitted to an async
-// engine when possible, executed synchronously otherwise (control
-// commands, malformed frames, engines without async support).
+// dispatch decodes one request payload into pd. Control commands and
+// malformed requests are answered on the spot. A data command becomes
+// core batch ops, passes the Writable fence, and is then either submitted
+// to an async engine or executed inline on this reader goroutine — the
+// only point where the two kinds of engine differ.
 func (s *Server) dispatch(pd *pending, ae AsyncEngine, m *sim.Meter, payload []byte, req *proto.Request) {
 	if err := proto.DecodeRequestInto(req, payload); err != nil {
 		pd.resp = proto.Response{Status: proto.StatusError}
 		return
 	}
-	pd.cmd = req.Cmd
-	if ae == nil {
-		pd.resp = *s.execute(m, req)
-		return
-	}
-	if isMutation(req.Cmd) && !s.writable() {
-		pd.resp = proto.Response{Status: proto.StatusFenced}
-		return
-	}
+	var ops []core.BatchOp
 	switch req.Cmd {
-	case proto.CmdGet:
-		pd.call = ae.Submit(m, core.BatchGet, req.Key, nil, 0)
-	case proto.CmdSet:
-		pd.call = ae.Submit(m, core.BatchSet, req.Key, req.Value, 0)
-	case proto.CmdDelete:
-		pd.call = ae.Submit(m, core.BatchDelete, req.Key, nil, 0)
-	case proto.CmdAppend:
-		pd.call = ae.Submit(m, core.BatchAppend, req.Key, req.Value, 0)
-	case proto.CmdIncr:
-		pd.call = ae.Submit(m, core.BatchIncr, req.Key, nil, req.Delta)
+	case proto.CmdGet, proto.CmdSet, proto.CmdDelete, proto.CmdAppend, proto.CmdIncr:
+		op := &pd.op[0]
+		*op = core.BatchOp{Kind: batchKind(req.Cmd), Key: req.Key}
+		// Only the fields the command uses: a stray value sent with a
+		// Delete must not reach the engine's journal.
+		switch op.Kind {
+		case core.BatchSet, core.BatchAppend:
+			op.Value = req.Value
+		case core.BatchIncr:
+			op.Delta = req.Delta
+		}
+		ops = pd.op[:]
 	case proto.CmdMGet:
+		// MGet rides the batch path: grouped per partition, so a 32-key
+		// MGet costs at most Parts() worker round trips instead of 32.
 		keys, err := proto.DecodeList(req.Value)
 		if err != nil {
 			pd.resp = proto.Response{Status: proto.StatusError}
 			return
 		}
-		ops := make([]core.BatchOp, len(keys))
+		ops = make([]core.BatchOp, len(keys))
 		for i, k := range keys {
 			ops[i] = core.BatchOp{Kind: core.BatchGet, Key: k}
 		}
-		pd.ops = ops
-		pd.bcall = ae.SubmitBatch(m, ops)
 	case proto.CmdBatch:
 		wireOps, err := proto.DecodeBatchView(req.Value)
 		if err != nil {
 			pd.resp = proto.Response{Status: proto.StatusError}
 			return
 		}
-		ops := make([]core.BatchOp, len(wireOps))
-		hasMutation := false
+		ops = make([]core.BatchOp, len(wireOps))
 		for i := range wireOps {
 			ops[i] = core.BatchOp{
 				Kind:  batchKind(wireOps[i].Cmd),
@@ -159,21 +162,31 @@ func (s *Server) dispatch(pd *pending, ae AsyncEngine, m *sim.Meter, payload []b
 				Value: wireOps[i].Value,
 				Delta: wireOps[i].Delta,
 			}
-			if ops[i].Kind != core.BatchGet {
-				hasMutation = true
-			}
 		}
-		if hasMutation && !s.writable() {
-			// Fence the mutations, serve the reads — the sync path does
-			// the per-op split.
-			pd.resp = *s.execute(m, req)
-			return
-		}
-		pd.ops = ops
-		pd.bcall = ae.SubmitBatch(m, ops)
 	default:
-		// Ping, Stats, unknown commands: no engine work to overlap.
-		pd.resp = *s.execute(m, req)
+		pd.resp = s.control(m, req)
+		return
+	}
+	pd.cmd, pd.ops = req.Cmd, ops
+	run, fenced := s.fence(ops)
+	pd.fenced = fenced
+	single := req.Cmd != proto.CmdMGet && req.Cmd != proto.CmdBatch
+	switch {
+	case len(run) == 0:
+		// Nothing reaches the engine: an empty list, or every op fenced.
+	case single && ae != nil:
+		pd.call = ae.Submit(m, run[0].Kind, run[0].Key, run[0].Value, run[0].Delta)
+	case single:
+		pd.res[0] = execOp(m, s.cfg.Engine, &run[0])
+		pd.rs = pd.res[:]
+	case ae != nil:
+		pd.bcall = ae.SubmitBatch(m, run)
+	default:
+		if be, ok := s.cfg.Engine.(BatchEngine); ok {
+			pd.rs = be.ExecBatch(m, run)
+		} else {
+			pd.rs = fallbackBatch(m, s.cfg.Engine, run)
+		}
 	}
 }
 
@@ -203,7 +216,7 @@ func (s *Server) connWriter(conn net.Conn, ch *proto.Channel, wq <-chan *pending
 	var sc writerScratch
 	var werr error
 	for pd := range wq {
-		resp := s.resolvePending(pd, &sc)
+		resp := resolvePending(pd, &sc)
 		if werr == nil {
 			out := proto.AppendResponse(sc.enc[:0], &resp)
 			sc.enc = out
@@ -239,41 +252,73 @@ func (s *Server) connWriter(conn net.Conn, ch *proto.Channel, wq <-chan *pending
 }
 
 // resolvePending waits for pd's engine work when it was submitted
-// asynchronously and builds the wire response. Values in the returned
-// response may alias the writer's scratch; they are consumed (encoded)
-// before the next pending resolves.
-func (s *Server) resolvePending(pd *pending, sc *writerScratch) proto.Response {
-	switch {
-	case pd.call != nil:
-		val, num, err := pd.call.Wait()
-		pd.call = nil
-		if err != nil {
-			return proto.Response{Status: statusFor(err)}
-		}
-		resp := proto.Response{Status: proto.StatusOK}
-		switch pd.cmd {
-		case proto.CmdGet:
-			resp.Value = val
-		case proto.CmdIncr:
-			resp.Num = num
-		}
-		return resp
-	case pd.bcall != nil:
-		rs := pd.bcall.Wait()
-		pd.bcall = nil
-		if pd.cmd == proto.CmdMGet {
-			return s.mgetResponse(rs, sc)
-		}
-		return s.batchResponse(pd.ops, rs, sc)
-	default:
+// asynchronously, then maps the results through the one function for the
+// request's response shape, however they were obtained. Values in the
+// returned response may alias the writer's scratch; they are consumed
+// (encoded) before the next pending resolves.
+func resolvePending(pd *pending, sc *writerScratch) proto.Response {
+	if pd.cmd == 0 {
 		return pd.resp
 	}
+	switch {
+	case pd.call != nil:
+		r := &pd.res[0]
+		r.Val, r.Num, r.Err = pd.call.Wait()
+		pd.call = nil
+		pd.rs = pd.res[:]
+	case pd.bcall != nil:
+		pd.rs = pd.bcall.Wait()
+		pd.bcall = nil
+	}
+	if pd.fenced {
+		pd.rs = unfence(pd.ops, pd.rs)
+	}
+	switch pd.cmd {
+	case proto.CmdMGet:
+		return mgetResponse(pd.rs, sc)
+	case proto.CmdBatch:
+		return batchResponse(pd.ops, pd.rs, sc)
+	default:
+		return opResponse(pd.cmd, &pd.rs[0])
+	}
+}
+
+// unfence spreads the results of a fenced request's reads back over all
+// of its ops; every op the fence withheld answers ErrFenced.
+func unfence(ops []core.BatchOp, reads []core.BatchResult) []core.BatchResult {
+	rs := make([]core.BatchResult, len(ops))
+	j := 0
+	for i := range ops {
+		if ops[i].Kind != core.BatchGet {
+			rs[i].Err = core.ErrFenced
+			continue
+		}
+		rs[i] = reads[j]
+		j++
+	}
+	return rs
+}
+
+// opResponse maps a single-op result to its response: the value for a
+// Get, the number for an Incr.
+func opResponse(cmd proto.Command, r *core.BatchResult) proto.Response {
+	if r.Err != nil {
+		return proto.Response{Status: statusFor(r.Err)}
+	}
+	resp := proto.Response{Status: proto.StatusOK}
+	switch cmd {
+	case proto.CmdGet:
+		resp.Value = r.Val
+	case proto.CmdIncr:
+		resp.Num = r.Num
+	}
+	return resp
 }
 
 // mgetResponse maps per-key batch results to the MGet list payload:
 // misses become nil entries, any other error fails the whole MGet (the
 // seed's semantics).
-func (s *Server) mgetResponse(rs []core.BatchResult, sc *writerScratch) proto.Response {
+func mgetResponse(rs []core.BatchResult, sc *writerScratch) proto.Response {
 	sc.vals = sc.vals[:0]
 	for i := range rs {
 		switch statusFor(rs[i].Err) {
@@ -294,9 +339,8 @@ func (s *Server) mgetResponse(rs []core.BatchResult, sc *writerScratch) proto.Re
 }
 
 // batchResponse maps core batch results to the wire result vector, with
-// per-op statuses (one miss never fails the rest — same mapping as
-// runBatch).
-func (s *Server) batchResponse(ops []core.BatchOp, rs []core.BatchResult, sc *writerScratch) proto.Response {
+// per-op statuses: one miss never fails the rest.
+func batchResponse(ops []core.BatchOp, rs []core.BatchResult, sc *writerScratch) proto.Response {
 	sc.prs = sc.prs[:0]
 	for i := range rs {
 		pr := proto.BatchResult{Status: statusFor(rs[i].Err)}
@@ -321,11 +365,7 @@ func (s *Server) batchResponse(ops []core.BatchOp, rs []core.BatchResult, sc *wr
 func releasePending(pd *pending) {
 	if pd.fp != nil {
 		framePool.Put(pd.fp)
-		pd.fp = nil
 	}
-	pd.call, pd.bcall = nil, nil
-	pd.ops = nil
-	pd.resp = proto.Response{}
-	pd.cmd = 0
+	*pd = pending{}
 	pendingPool.Put(pd)
 }

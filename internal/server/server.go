@@ -105,7 +105,8 @@ func (e BaselineEngine) Append(m *sim.Meter, key, suffix []byte) error {
 	return e.S.Append(m, key, suffix)
 }
 
-// Incr implements Engine (read-modify-write composition).
+// Incr implements Engine. The baseline stores have no increment, so it
+// always fails.
 func (e BaselineEngine) Incr(m *sim.Meter, key []byte, delta int64) (int64, error) {
 	return 0, errors.New("baseline: incr unsupported")
 }
@@ -445,217 +446,73 @@ func (s *Server) chargeNet(m *sim.Meter, n int) {
 	m.Count(sim.CtrNetMessage)
 }
 
-// execute dispatches a request to the engine. Engine costs accrue to the
-// engine's own meters (partition workers); the front-end meter only pays
-// marshalling here.
-func (s *Server) execute(m *sim.Meter, req *proto.Request) *proto.Response {
-	eng := s.cfg.Engine
-	if isMutation(req.Cmd) && !s.writable() {
-		return &proto.Response{Status: proto.StatusFenced}
-	}
+// control answers the requests that carry no key-value work: Ping, the
+// Stats and Health listings, the replication hooks, and unknown commands.
+func (s *Server) control(m *sim.Meter, req *proto.Request) proto.Response {
 	switch req.Cmd {
 	case proto.CmdPing:
-		return &proto.Response{Status: proto.StatusOK}
+		return proto.Response{Status: proto.StatusOK}
 	case proto.CmdReplicate:
 		if s.cfg.Replicate == nil {
 			// Not a replica: nobody wired an applier here.
-			return &proto.Response{Status: proto.StatusError}
+			return proto.Response{Status: proto.StatusError}
 		}
 		wm, st := s.cfg.Replicate(m, req.Value)
-		return &proto.Response{Status: st, Num: int64(wm)}
+		return proto.Response{Status: st, Num: int64(wm)}
 	case proto.CmdPromote:
 		if s.cfg.Promote == nil {
-			return &proto.Response{Status: proto.StatusError}
+			return proto.Response{Status: proto.StatusError}
 		}
 		ep, st := s.cfg.Promote(uint64(req.Delta))
-		return &proto.Response{Status: st, Num: int64(ep)}
+		return proto.Response{Status: st, Num: int64(ep)}
 	case proto.CmdReplAttach:
 		if s.cfg.Attach == nil {
 			// Not a replicated deployment: no role manager wired here.
-			return &proto.Response{Status: proto.StatusError}
+			return proto.Response{Status: proto.StatusError}
 		}
-		return &proto.Response{Status: s.cfg.Attach(string(req.Key))}
+		return proto.Response{Status: s.cfg.Attach(string(req.Key))}
 	case proto.CmdStats:
-		if s.cfg.Stats == nil {
-			return &proto.Response{Status: proto.StatusOK, Value: proto.EncodeList(nil)}
-		}
-		lines := s.cfg.Stats()
-		items := make([][]byte, len(lines))
-		for i, l := range lines {
-			items[i] = []byte(l)
-		}
-		return &proto.Response{Status: proto.StatusOK, Value: proto.EncodeList(items)}
+		return listResponse(s.cfg.Stats)
 	case proto.CmdHealth:
-		if s.cfg.Health == nil {
-			return &proto.Response{Status: proto.StatusOK, Value: proto.EncodeList(nil)}
-		}
-		lines := s.cfg.Health()
-		items := make([][]byte, len(lines))
-		for i, l := range lines {
-			items[i] = []byte(l)
-		}
-		return &proto.Response{Status: proto.StatusOK, Value: proto.EncodeList(items)}
-	case proto.CmdGet:
-		val, err := eng.Get(m, req.Key)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &proto.Response{Status: proto.StatusOK, Value: val}
-	case proto.CmdSet:
-		if err := eng.Set(m, req.Key, req.Value); err != nil {
-			return errResponse(err)
-		}
-		return &proto.Response{Status: proto.StatusOK}
-	case proto.CmdDelete:
-		if err := eng.Delete(m, req.Key); err != nil {
-			return errResponse(err)
-		}
-		return &proto.Response{Status: proto.StatusOK}
-	case proto.CmdAppend:
-		if err := eng.Append(m, req.Key, req.Value); err != nil {
-			return errResponse(err)
-		}
-		return &proto.Response{Status: proto.StatusOK}
-	case proto.CmdMGet:
-		keys, err := proto.DecodeList(req.Value)
-		if err != nil {
-			return &proto.Response{Status: proto.StatusError}
-		}
-		// MGet rides the batch path: grouped per partition, so a 32-key
-		// MGet costs at most Parts() worker round trips instead of 32.
-		ops := make([]proto.BatchOp, len(keys))
-		for i, k := range keys {
-			ops[i] = proto.BatchOp{Cmd: proto.CmdGet, Key: k}
-		}
-		rs := s.runBatch(m, ops)
-		vals := make([][]byte, len(keys))
-		for i := range rs {
-			switch rs[i].Status {
-			case proto.StatusOK:
-				vals[i] = rs[i].Value
-				if vals[i] == nil {
-					vals[i] = []byte{}
-				}
-			case proto.StatusNotFound:
-				vals[i] = nil
-			default:
-				return &proto.Response{Status: rs[i].Status}
-			}
-		}
-		return &proto.Response{Status: proto.StatusOK, Value: proto.EncodeList(vals)}
-	case proto.CmdBatch:
-		ops, err := proto.DecodeBatch(req.Value)
-		if err != nil {
-			return &proto.Response{Status: proto.StatusError}
-		}
-		return &proto.Response{
-			Status: proto.StatusOK,
-			Value:  proto.EncodeBatchResults(s.runBatch(m, ops)),
-		}
-	case proto.CmdIncr:
-		n, err := eng.Incr(m, req.Key, req.Delta)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &proto.Response{Status: proto.StatusOK, Num: n}
+		return listResponse(s.cfg.Health)
 	default:
-		return &proto.Response{Status: proto.StatusError}
+		return proto.Response{Status: proto.StatusError}
 	}
 }
 
-// runBatch executes a decoded batch: natively when the engine implements
-// BatchEngine, via a per-op loop otherwise, and maps the results back to
-// wire form. Per-op errors are isolated into per-op statuses — one miss
-// never fails the rest of the batch.
-func (s *Server) runBatch(m *sim.Meter, ops []proto.BatchOp) []proto.BatchResult {
-	coreOps := make([]core.BatchOp, len(ops))
-	hasMutation := false
+// listResponse renders a Stats or Health hook's lines as a list payload;
+// an unset hook answers an empty list.
+func listResponse(hook func() []string) proto.Response {
+	var items [][]byte
+	if hook != nil {
+		for _, l := range hook() {
+			items = append(items, []byte(l))
+		}
+	}
+	return proto.Response{Status: proto.StatusOK, Value: proto.EncodeList(items)}
+}
+
+// fence applies the Writable gate to a data request's ops; it is the only
+// place the gate is consulted. A node that admits no mutations (a replica
+// before promotion, a fenced old primary) still serves reads: fence then
+// returns just the reads, in order, for the engine, and reports fenced so
+// every withheld op is answered StatusFenced.
+func (s *Server) fence(ops []core.BatchOp) (run []core.BatchOp, fenced bool) {
 	for i := range ops {
-		coreOps[i] = core.BatchOp{
-			Kind:  batchKind(ops[i].Cmd),
-			Key:   ops[i].Key,
-			Value: ops[i].Value,
-			Delta: ops[i].Delta,
-		}
-		if coreOps[i].Kind != core.BatchGet {
-			hasMutation = true
-		}
-	}
-	if hasMutation && !s.writable() {
-		return s.runFencedBatch(m, coreOps)
-	}
-	var rs []core.BatchResult
-	if be, ok := s.cfg.Engine.(BatchEngine); ok {
-		rs = be.ExecBatch(m, coreOps)
-	} else {
-		rs = fallbackBatch(m, s.cfg.Engine, coreOps)
-	}
-	out := make([]proto.BatchResult, len(rs))
-	for i := range rs {
-		out[i].Status = statusFor(rs[i].Err)
-		if rs[i].Err != nil {
+		if ops[i].Kind == core.BatchGet {
 			continue
 		}
-		out[i].Num = rs[i].Num
-		if coreOps[i].Kind == core.BatchGet {
-			out[i].Value = rs[i].Val
-			if out[i].Value == nil {
-				out[i].Value = []byte{}
+		if s.cfg.Writable == nil || s.cfg.Writable() {
+			return ops, false
+		}
+		for j := range ops {
+			if ops[j].Kind == core.BatchGet {
+				run = append(run, ops[j])
 			}
 		}
+		return run, true
 	}
-	return out
-}
-
-// runFencedBatch serves a mixed batch on a non-writable node: the reads
-// execute normally (a replica's whole point is serving them), every
-// mutation comes back StatusFenced without touching the engine.
-func (s *Server) runFencedBatch(m *sim.Meter, coreOps []core.BatchOp) []proto.BatchResult {
-	out := make([]proto.BatchResult, len(coreOps))
-	reads := make([]core.BatchOp, 0, len(coreOps))
-	idx := make([]int, 0, len(coreOps))
-	for i := range coreOps {
-		if coreOps[i].Kind == core.BatchGet {
-			reads = append(reads, coreOps[i])
-			idx = append(idx, i)
-		} else {
-			out[i].Status = proto.StatusFenced
-		}
-	}
-	if len(reads) == 0 {
-		return out
-	}
-	var rs []core.BatchResult
-	if be, ok := s.cfg.Engine.(BatchEngine); ok {
-		rs = be.ExecBatch(m, reads)
-	} else {
-		rs = fallbackBatch(m, s.cfg.Engine, reads)
-	}
-	for j := range rs {
-		i := idx[j]
-		out[i].Status = statusFor(rs[j].Err)
-		if rs[j].Err != nil {
-			continue
-		}
-		out[i].Value = rs[j].Val
-		if out[i].Value == nil {
-			out[i].Value = []byte{}
-		}
-	}
-	return out
-}
-
-// writable reports whether this node currently admits mutations (no
-// Writable hook means an ordinary, always-writable server).
-func (s *Server) writable() bool { return s.cfg.Writable == nil || s.cfg.Writable() }
-
-// isMutation classifies the commands the Writable gate covers.
-func isMutation(c proto.Command) bool {
-	switch c {
-	case proto.CmdSet, proto.CmdDelete, proto.CmdAppend, proto.CmdIncr:
-		return true
-	}
-	return false
+	return ops, false
 }
 
 // batchKind maps a wire command to a core batch kind; unknown commands map
@@ -677,26 +534,33 @@ func batchKind(c proto.Command) core.BatchKind {
 	}
 }
 
+// execOp runs one op through a synchronous engine's per-op methods. It is
+// the front-end's one per-kind switch: single requests on synchronous
+// engines call it directly and fallbackBatch loops over it.
+func execOp(m *sim.Meter, eng Engine, op *core.BatchOp) (r core.BatchResult) {
+	switch op.Kind {
+	case core.BatchGet:
+		r.Val, r.Err = eng.Get(m, op.Key)
+	case core.BatchSet:
+		r.Err = eng.Set(m, op.Key, op.Value)
+	case core.BatchDelete:
+		r.Err = eng.Delete(m, op.Key)
+	case core.BatchAppend:
+		r.Err = eng.Append(m, op.Key, op.Value)
+	case core.BatchIncr:
+		r.Num, r.Err = eng.Incr(m, op.Key, op.Delta)
+	default:
+		r.Err = core.ErrBadBatchOp
+	}
+	return r
+}
+
 // fallbackBatch runs a batch op-by-op for engines without native batch
 // support (baselines): same semantics, none of the amortization.
 func fallbackBatch(m *sim.Meter, eng Engine, ops []core.BatchOp) []core.BatchResult {
 	rs := make([]core.BatchResult, len(ops))
 	for i := range ops {
-		op := &ops[i]
-		switch op.Kind {
-		case core.BatchGet:
-			rs[i].Val, rs[i].Err = eng.Get(m, op.Key)
-		case core.BatchSet:
-			rs[i].Err = eng.Set(m, op.Key, op.Value)
-		case core.BatchDelete:
-			rs[i].Err = eng.Delete(m, op.Key)
-		case core.BatchAppend:
-			rs[i].Err = eng.Append(m, op.Key, op.Value)
-		case core.BatchIncr:
-			rs[i].Num, rs[i].Err = eng.Incr(m, op.Key, op.Delta)
-		default:
-			rs[i].Err = core.ErrBadBatchOp
-		}
+		rs[i] = execOp(m, eng, &ops[i])
 	}
 	return rs
 }
@@ -724,10 +588,6 @@ func statusFor(err error) uint8 {
 	default:
 		return proto.StatusError
 	}
-}
-
-func errResponse(err error) *proto.Response {
-	return &proto.Response{Status: statusFor(err)}
 }
 
 // drbg adapts the enclave DRBG to io.Reader for handshake entropy.
