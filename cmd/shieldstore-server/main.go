@@ -27,6 +27,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -37,7 +39,6 @@ import (
 	"shieldstore/internal/repl"
 	"shieldstore/internal/server"
 	"shieldstore/internal/sgx"
-	"shieldstore/internal/sim"
 )
 
 func main() {
@@ -59,6 +60,12 @@ func main() {
 		epoch       = flag.Uint64("epoch", 1, "initial replication fencing epoch")
 	)
 	flag.Parse()
+
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if bad := ignoredFlags(*role, set); len(bad) > 0 {
+		log.Fatalf("shieldstore: -role %s ignores -%s; refusing to start", *role, strings.Join(bad, ", -"))
+	}
 
 	switch *role {
 	case "standalone":
@@ -141,12 +148,61 @@ func main() {
 					log.Printf("final snapshot failed: %v", err)
 				}
 			}
-			st := db.Stats()
-			log.Printf("stats: keys=%d untrusted=%dMB enclave=%dMB decrypts=%d epc_faults=%d",
-				st.Keys, st.UntrustedBytes>>20, st.EnclaveBytes>>20, st.Decryptions, st.EPCFaults)
+			if lines, err := wireStats(srv.Addr().String(), dialOptions(*seed, *insecure)); err != nil {
+				log.Printf("stats unavailable: %v", err)
+			} else {
+				log.Printf("stats: %s", strings.Join(lines, " "))
+			}
 			return
 		}
 	}
+}
+
+// ignoredByRole lists the flags each role never reads. Setting one is
+// refused rather than silently dropped: the partitioned engine behind
+// -role primary|replica has no value log, no local snapshots of its own
+// and no snapshot ticker, only a replica keeps state in -snapshot-dir,
+// and only a primary ships to -replica-addr.
+var ignoredByRole = map[string][]string{
+	"standalone": {"replica-addr", "epoch"},
+	"primary":    {"snapshot-dir", "snapshot-every", "vlog-dir", "spill-threshold", "mem-budget-mb"},
+	"replica":    {"replica-addr", "snapshot-every", "vlog-dir", "spill-threshold", "mem-budget-mb"},
+}
+
+// ignoredFlags returns, in the order given, the explicitly set flags
+// that role would ignore.
+func ignoredFlags(role string, set []string) []string {
+	var bad []string
+	for _, name := range set {
+		if slices.Contains(ignoredByRole[role], name) {
+			bad = append(bad, name)
+		}
+	}
+	return bad
+}
+
+// dialOptions are the client options for any node of this deployment:
+// quote verification keys derive from the shared deployment seed (the
+// attestation-service stand-in).
+func dialOptions(seed uint64, insecure bool) client.Options {
+	o := client.Options{Secure: !insecure}
+	if !insecure {
+		o.Verifier = shieldstore.AttestationService(seed)
+		o.Measurement = shieldstore.Measurement()
+	}
+	return o
+}
+
+// wireStats asks the node at addr for its CmdStats answer, so the
+// shutdown log prints exactly the table an operator reads on the wire.
+func wireStats(addr string, opts client.Options) ([]string, error) {
+	opts.Timeout = 5 * time.Second
+	c, err := client.Dial(addr, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return c.Stats()
 }
 
 // replicatedConfig parameterizes a primary- or replica-role node.
@@ -187,13 +243,7 @@ func runReplicated(cfg replicatedConfig) error {
 		Logf:         log.Printf,
 		DrainTimeout: time.Second,
 		Stats: func() []string {
-			st := p.AggregateStats()
-			return []string{
-				fmt.Sprintf("keys=%d", p.Keys()),
-				fmt.Sprintf("virtual_seconds=%.6f", enclave.Model().Seconds(st.Cycles)),
-				fmt.Sprintf("repl_shipped=%d", st.Events[sim.CtrReplShipped]),
-				fmt.Sprintf("repl_applied=%d", st.Events[sim.CtrReplApplied]),
-			}
+			return core.FormatStats(enclave, p.Keys(), p.AggregateStats())
 		},
 		Health: func() []string { return core.FormatHealth(p.Health()) },
 	}
@@ -201,16 +251,7 @@ func runReplicated(cfg replicatedConfig) error {
 	// Link builds the dial options for any same-deployment peer this node
 	// is told to ship to — the boot-time -replica-addr or a later
 	// CmdReplAttach target from a supervisor (cmd/shieldstore-ctl).
-	link := func(string) client.Options {
-		l := client.Options{Secure: !cfg.insecure}
-		if !cfg.insecure {
-			// The attestation-service stand-in: quote verification keys
-			// derive from the shared deployment seed.
-			l.Verifier = shieldstore.AttestationService(cfg.seed)
-			l.Measurement = shieldstore.Measurement()
-		}
-		return l
-	}
+	link := func(string) client.Options { return dialOptions(cfg.seed, cfg.insecure) }
 
 	var shipper *repl.Shipper
 	var applier *repl.Applier

@@ -21,7 +21,6 @@ import (
 	"shieldstore/internal/repl"
 	"shieldstore/internal/server"
 	"shieldstore/internal/sgx"
-	"shieldstore/internal/sim"
 )
 
 // HarnessConfig sizes an in-process cluster.
@@ -224,12 +223,7 @@ func (h *Harness) serverConfig(enclave *sgx.Enclave, p *core.Partitioned) server
 		PipelineDepth: cfg.PipelineDepth,
 		DrainTimeout:  time.Second,
 		Stats: func() []string {
-			st := p.AggregateStats()
-			return []string{
-				fmt.Sprintf("keys=%d", p.Keys()),
-				fmt.Sprintf("virtual_seconds=%.6f", enclave.Model().Seconds(st.Cycles)),
-				fmt.Sprintf("decryptions=%d", st.Events[sim.CtrDecrypt]),
-			}
+			return core.FormatStats(enclave, p.Keys(), p.AggregateStats())
 		},
 		Health: func() []string { return core.FormatHealth(p.Health()) },
 	}

@@ -91,10 +91,6 @@ func (s *Store) MarkRebuilding() { s.rebuilding.Store(true) }
 // plain quarantine). The latch itself is untouched.
 func (s *Store) ClearRebuilding() { s.rebuilding.Store(false) }
 
-// Rebuilding reports whether a rebuild is in progress. Safe to call from
-// any goroutine.
-func (s *Store) Rebuilding() bool { return s.rebuilding.Load() }
-
 // EnableQuarantine arms the isolation latch on a live store. Restored
 // snapshots need this: the sealed metadata does not carry the Quarantine
 // option (it is a deployment policy, not enclave state), so a rebuilt

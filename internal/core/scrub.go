@@ -11,6 +11,9 @@ package core
 import (
 	"fmt"
 
+	"shieldstore/internal/mem"
+	"shieldstore/internal/secret"
+	"shieldstore/internal/sgx"
 	"shieldstore/internal/sim"
 )
 
@@ -179,4 +182,40 @@ func FormatHealth(hs []PartHealth) []string {
 		out[i] = line
 	}
 	return out
+}
+
+// FormatStats renders a node's counters as "name=value" lines — the
+// payload of the server's CmdStats response and the only place a
+// sim.Stats becomes text. keys is the live key count and st one snapshot
+// aggregated across partitions (events summed, Cycles the busiest
+// partition's clock). Every sim counter appears once under its canonical
+// name; the secret_* gauges are the process-wide guarded-buffer census,
+// not a per-partition sum. The lines after the counters are the
+// benchmark's compatibility keys whose figures the canonical names spell
+// differently.
+func FormatStats(enclave *sgx.Enclave, keys int, st sim.Stats) []string {
+	out := make([]string, 0, len(st.Events)+8)
+	out = append(out,
+		fmt.Sprintf("keys=%d", keys),
+		fmt.Sprintf("virtual_seconds=%.6f", enclave.Model().Seconds(st.Cycles)),
+		fmt.Sprintf("cycles=%d", st.Cycles),
+	)
+	buffers, bytes := secret.Live()
+	for i, v := range st.Events {
+		switch sim.Counter(i) {
+		case sim.CtrSecretBuffersLive:
+			v = uint64(buffers)
+		case sim.CtrSecretBytesLive:
+			v = uint64(bytes)
+		}
+		out = append(out, fmt.Sprintf("%s=%d", sim.Counter(i), v))
+	}
+	space := enclave.Space()
+	return append(out,
+		fmt.Sprintf("decryptions=%d", st.Events[sim.CtrDecrypt]),
+		fmt.Sprintf("epc_faults=%d", st.Events[sim.CtrEPCFaultRead]+st.Events[sim.CtrEPCFaultWrite]),
+		fmt.Sprintf("ocalls=%d", st.Events[sim.CtrOCall]),
+		fmt.Sprintf("untrusted_bytes=%d", space.UsedBytes(mem.Untrusted)),
+		fmt.Sprintf("enclave_bytes=%d", space.UsedBytes(mem.Enclave)),
+	)
 }

@@ -6,10 +6,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"shieldstore/internal/entry"
+	"shieldstore/internal/mem"
+	"shieldstore/internal/secret"
 	"shieldstore/internal/sim"
 )
 
@@ -199,6 +202,99 @@ func TestFormatHealth(t *testing.T) {
 		if lines[i] != want[i] {
 			t.Fatalf("line %d = %q, want %q", i, lines[i], want[i])
 		}
+	}
+}
+
+// TestFormatStats checks the CmdStats table: every sim counter exactly
+// once under its canonical name, no key twice, the compatibility keys
+// equal to the counters they are derived from, and the secret_* gauges
+// taken from the process-wide census rather than the snapshot.
+func TestFormatStats(t *testing.T) {
+	s, m := newTestStore(Defaults(64))
+	for i := 0; i < 20; i++ {
+		must(t, s.Set(m, []byte(fmt.Sprintf("k%02d", i)), []byte("v")))
+		if _, err := s.Get(m, []byte(fmt.Sprintf("k%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var distinct sim.Stats
+	distinct.Cycles = 1 << 33
+	for i := range distinct.Events {
+		distinct.Events[i] = uint64(100 + i)
+	}
+	startBuffers, startBytes := secret.Live()
+	a, b := secret.New(16), secret.New(32)
+	defer a.Wipe()
+	defer b.Wipe()
+
+	space := s.enclave.Space()
+	for _, tc := range []struct {
+		name string
+		st   sim.Stats
+	}{
+		{"zero", sim.Stats{}},
+		{"store", m.Snapshot()},
+		{"distinct", distinct},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lines := FormatStats(s.enclave, s.Keys(), tc.st)
+			kv := map[string]string{}
+			for _, l := range lines {
+				k, v, ok := strings.Cut(l, "=")
+				if !ok {
+					t.Fatalf("line %q is not name=value", l)
+				}
+				if _, dup := kv[k]; dup {
+					t.Fatalf("key %s appears twice: %v", k, lines)
+				}
+				kv[k] = v
+			}
+			num := func(k string) uint64 {
+				t.Helper()
+				n, err := strconv.ParseUint(kv[k], 10, 64)
+				if err != nil {
+					t.Fatalf("%s=%q: %v", k, kv[k], err)
+				}
+				return n
+			}
+			ev := tc.st.Events
+			for i, want := range ev {
+				switch sim.Counter(i) {
+				case sim.CtrSecretBuffersLive:
+					want = uint64(startBuffers + 2)
+				case sim.CtrSecretBytesLive:
+					want = uint64(startBytes + 48)
+				}
+				if got := num(sim.Counter(i).String()); got != want {
+					t.Errorf("%s = %d, want %d", sim.Counter(i), got, want)
+				}
+			}
+			derived := map[string]uint64{
+				"keys":            uint64(s.Keys()),
+				"cycles":          tc.st.Cycles,
+				"decryptions":     ev[sim.CtrDecrypt],
+				"epc_faults":      ev[sim.CtrEPCFaultRead] + ev[sim.CtrEPCFaultWrite],
+				"ocalls":          ev[sim.CtrOCall],
+				"untrusted_bytes": uint64(space.UsedBytes(mem.Untrusted)),
+				"enclave_bytes":   uint64(space.UsedBytes(mem.Enclave)),
+			}
+			for k, want := range derived {
+				if got := num(k); got != want {
+					t.Errorf("%s = %d, want %d", k, got, want)
+				}
+			}
+			vs := fmt.Sprintf("%.6f", s.enclave.Model().Seconds(tc.st.Cycles))
+			if kv["virtual_seconds"] != vs {
+				t.Errorf("virtual_seconds = %s, want %s", kv["virtual_seconds"], vs)
+			}
+			if want := len(ev) + len(derived) + 1; len(kv) != want {
+				t.Errorf("%d keys, want %d: %v", len(kv), want, lines)
+			}
+		})
+	}
+	if s.Keys() != 20 || m.Events(sim.CtrDecrypt) == 0 || space.UsedBytes(mem.Untrusted) == 0 {
+		t.Fatalf("store run left keys=%d decrypt=%d untrusted=%d; the table checks nothing",
+			s.Keys(), m.Events(sim.CtrDecrypt), space.UsedBytes(mem.Untrusted))
 	}
 }
 

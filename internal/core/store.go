@@ -256,9 +256,6 @@ func (s *Store) Enclave() *sgx.Enclave { return s.enclave }
 // Keys returns the number of live keys.
 func (s *Store) Keys() int { return s.keys }
 
-// Heap returns the untrusted-memory allocator (for Figure 6 stats).
-func (s *Store) Heap() alloc.Allocator { return s.heap }
-
 // bucketOf maps a key to its bucket via the keyed hash. The upper hash
 // bits are used so that partition routing (low bits, partition.go) stays
 // independent.

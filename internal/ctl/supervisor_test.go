@@ -265,7 +265,7 @@ func TestSupervisorFlakyProbesNeverPromote(t *testing.T) {
 // TestNodeStatsOnWire checks satellite visibility: every data node
 // answers CmdStats with its replication role, epoch, and watermark lag
 // lines — the signals the supervisor's lag monitor (and an operator's
-// CLI) read.
+// CLI) read — on top of the store's counter table, with no key twice.
 func TestNodeStatsOnWire(t *testing.T) {
 	h := startPairs(t, cluster.HarnessConfig{Shards: 1, Seed: 47})
 	s := h.Shard(0)
@@ -279,12 +279,7 @@ func TestNodeStatsOnWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := map[string]string{}
-	for _, l := range lines {
-		if k, v, ok := strings.Cut(l, "="); ok {
-			kv[k] = v
-		}
-	}
+	kv := statsKV(t, lines)
 	if kv["repl_role"] != "primary" {
 		t.Fatalf("primary repl_role = %q; stats %v", kv["repl_role"], lines)
 	}
@@ -303,16 +298,33 @@ func TestNodeStatsOnWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rkv := map[string]string{}
-	for _, l := range rlines {
-		if k, v, ok := strings.Cut(l, "="); ok {
-			rkv[k] = v
-		}
-	}
+	rkv := statsKV(t, rlines)
 	if rkv["repl_role"] != "replica" {
 		t.Fatalf("replica repl_role = %q; stats %v", rkv["repl_role"], rlines)
 	}
 	if _, ok := rkv["repl_watermark"]; !ok {
 		t.Fatalf("replica stats missing repl_watermark: %v", rlines)
 	}
+}
+
+// statsKV parses CmdStats lines into a map, failing on a repeated key, and
+// checks the store keys on the benchmark's compatibility list
+// (benchmark/README.md) that every node serves whatever its role.
+func statsKV(t *testing.T, lines []string) map[string]string {
+	t.Helper()
+	kv := map[string]string{}
+	for _, l := range lines {
+		k, v, _ := strings.Cut(l, "=")
+		if _, dup := kv[k]; dup {
+			t.Fatalf("stats key %s appears twice: %v", k, lines)
+		}
+		kv[k] = v
+	}
+	for _, want := range []string{"decryptions", "epc_faults", "ocalls", "untrusted_bytes", "enclave_bytes",
+		"vlog_spill", "vlog_fault", "vlog_gc_copy", "vlog_segments_live"} {
+		if _, ok := kv[want]; !ok {
+			t.Fatalf("stats missing %s: %v", want, lines)
+		}
+	}
+	return kv
 }

@@ -451,9 +451,6 @@ func (s *Space) touchEnclavePages(m *sim.Meter, a Addr, n int, write bool) {
 	}
 }
 
-// PagingClock exposes the machine-wide paging serializer (used by tests).
-func (s *Space) PagingClock() *sim.SharedClock { return &s.pagingClock }
-
 // ResetPagingClock rewinds the paging serializer to virtual time zero.
 // Benchmark harnesses call this between a preload phase (whose meters are
 // discarded) and a measurement phase (whose meters restart at zero), so

@@ -90,9 +90,6 @@ func New(space *mem.Space, mac *cmac.CMAC, leaves int) *Tree {
 	return t
 }
 
-// Leaves returns the configured leaf count.
-func (t *Tree) Leaves() int { return t.leaves }
-
 // Levels returns the tree height (the §4.3 complaint).
 func (t *Tree) Levels() int { return t.levels }
 

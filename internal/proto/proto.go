@@ -365,9 +365,6 @@ func (c *Channel) OpenInPlace(ct []byte) ([]byte, error) {
 	return pt, nil
 }
 
-// Overhead returns the ciphertext expansion per frame.
-func (c *Channel) Overhead() int { return c.aead.Overhead() }
-
 // QuoteVerifier abstracts the attestation service: it validates a quote
 // and returns the attested report data. *sgx.Enclave implements it.
 type QuoteVerifier interface {

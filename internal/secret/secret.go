@@ -1,7 +1,8 @@
 // Package secret provides memguard-style containers for enclave key
 // material: canary-framed buffers that are explicitly wiped when the
 // key they hold is released, a constant-time comparison primitive, and
-// live-footprint accounting surfaced through the sim meter gauges.
+// a live-footprint census that a node's CmdStats answer reports as its
+// secret_* gauges.
 //
 // ShieldStore's security argument rests on key material (the sealing
 // seed, CMAC/GCM data keys, DRBG state, replication chain keys) never
@@ -27,8 +28,6 @@ import (
 	"crypto/subtle"
 	"errors"
 	"sync/atomic"
-
-	"shieldstore/internal/sim"
 )
 
 // CanarySize is the guard frame placed on each side of the key bytes.
@@ -164,16 +163,4 @@ func WipeBytes(b []byte) {
 // buffers exist and how many key bytes they hold.
 func Live() (buffers, bytes int64) {
 	return liveBuffers.Load(), liveBytes.Load()
-}
-
-// Account publishes the live census to m's gauges, charging the secret
-// footprint to enclave memory the way the value log publishes its live
-// segment count. Nil meters are tolerated (setup paths).
-func Account(m *sim.Meter) {
-	if m == nil {
-		return
-	}
-	buffers, bytes := Live()
-	m.SetCount(sim.CtrSecretBuffersLive, uint64(buffers))
-	m.SetCount(sim.CtrSecretBytesLive, uint64(bytes))
 }

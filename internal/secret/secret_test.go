@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-
-	"shieldstore/internal/sim"
 )
 
 func TestBufferHoldsAndWipes(t *testing.T) {
@@ -96,22 +94,12 @@ func TestLiveAccounting(t *testing.T) {
 		t.Fatalf("Live = (%d, %d), want (%d, %d)", buffers, bts, startBuffers+2, startBytes+48)
 	}
 
-	m := sim.NewMeter(sim.DefaultCostModel())
-	Account(m)
-	if got := m.Events(sim.CtrSecretBytesLive); got != uint64(startBytes+48) {
-		t.Fatalf("gauge secret_bytes_live = %d, want %d", got, startBytes+48)
-	}
-	if got := m.Events(sim.CtrSecretBuffersLive); got != uint64(startBuffers+2) {
-		t.Fatalf("gauge secret_buffers_live = %d, want %d", got, startBuffers+2)
-	}
-
 	a.Wipe()
 	b.Wipe()
 	buffers, bts = Live()
 	if buffers != startBuffers || bts != startBytes {
 		t.Fatalf("Live after wipes = (%d, %d), want (%d, %d)", buffers, bts, startBuffers, startBytes)
 	}
-	Account(nil) // nil meters tolerated
 }
 
 func TestWipeBytes(t *testing.T) {

@@ -546,16 +546,7 @@ type Stats struct {
 
 // Stats returns aggregate counters.
 func (db *DB) Stats() Stats {
-	agg := sim.NewMeter(db.enclave.Model())
-	var maxC uint64
-	for i := range db.parts {
-		db.locks[i].Lock()
-		agg.Add(db.meters[i])
-		if c := db.meters[i].Cycles(); c > maxC {
-			maxC = c
-		}
-		db.locks[i].Unlock()
-	}
+	st := db.meterStats()
 	lat := &histo.Histogram{}
 	for i := range db.parts {
 		db.locks[i].Lock()
@@ -568,20 +559,33 @@ func (db *DB) Stats() Stats {
 	space := db.enclave.Space()
 	return Stats{
 		Keys:           db.Keys(),
-		VirtualSeconds: db.enclave.Model().Seconds(maxC),
-		Decryptions:    agg.Events(sim.CtrDecrypt),
-		EPCFaults:      agg.Events(sim.CtrEPCFaultRead) + agg.Events(sim.CtrEPCFaultWrite),
-		OCalls:         agg.Events(sim.CtrOCall),
-		VLogSpills:     agg.Events(sim.CtrVLogSpill),
-		VLogFaults:     agg.Events(sim.CtrVLogFault),
-		VLogGCCopies:   agg.Events(sim.CtrVLogGCCopy),
-		VLogSegments:   agg.Events(sim.CtrVLogSegmentsLive),
+		VirtualSeconds: db.enclave.Model().Seconds(st.Cycles),
+		Decryptions:    st.Events[sim.CtrDecrypt],
+		EPCFaults:      st.Events[sim.CtrEPCFaultRead] + st.Events[sim.CtrEPCFaultWrite],
+		OCalls:         st.Events[sim.CtrOCall],
+		VLogSpills:     st.Events[sim.CtrVLogSpill],
+		VLogFaults:     st.Events[sim.CtrVLogFault],
+		VLogGCCopies:   st.Events[sim.CtrVLogGCCopy],
+		VLogSegments:   st.Events[sim.CtrVLogSegmentsLive],
 		UntrustedBytes: space.UsedBytes(mem.Untrusted),
 		EnclaveBytes:   space.UsedBytes(mem.Enclave),
 		LatencyMeanUs:  db.enclave.Model().Seconds(uint64(lat.Mean())) * 1e6,
 		LatencyP50Us:   toUs(lat.Quantile(0.5)),
 		LatencyP99Us:   toUs(lat.Quantile(0.99)),
 	}
+}
+
+// meterStats sums the partition meters' counters, each read under its
+// partition lock, and keeps the busiest partition's clock.
+func (db *DB) meterStats() sim.Stats {
+	agg := sim.NewMeter(db.enclave.Model())
+	for i := range db.parts {
+		db.locks[i].Lock()
+		agg.Add(db.meters[i])
+		agg.SetCycles(max(agg.Cycles(), db.meters[i].Cycles()))
+		db.locks[i].Unlock()
+	}
+	return agg.Snapshot()
 }
 
 // ServeOptions configures the network front-end.
@@ -609,20 +613,7 @@ func (db *DB) Serve(ln net.Listener, opts ServeOptions) *Server {
 		PipelineDepth: opts.PipelineDepth,
 		WriteBuffer:   opts.WriteBuffer,
 		Stats: func() []string {
-			st := db.Stats()
-			return []string{
-				fmt.Sprintf("keys=%d", st.Keys),
-				fmt.Sprintf("virtual_seconds=%.6f", st.VirtualSeconds),
-				fmt.Sprintf("decryptions=%d", st.Decryptions),
-				fmt.Sprintf("epc_faults=%d", st.EPCFaults),
-				fmt.Sprintf("ocalls=%d", st.OCalls),
-				fmt.Sprintf("untrusted_bytes=%d", st.UntrustedBytes),
-				fmt.Sprintf("enclave_bytes=%d", st.EnclaveBytes),
-				fmt.Sprintf("vlog_spill=%d", st.VLogSpills),
-				fmt.Sprintf("vlog_fault=%d", st.VLogFaults),
-				fmt.Sprintf("vlog_gc_copy=%d", st.VLogGCCopies),
-				fmt.Sprintf("vlog_segments_live=%d", st.VLogSegments),
-			}
+			return core.FormatStats(db.enclave, db.Keys(), db.meterStats())
 		},
 		Health: func() []string {
 			// Store.Health reads only atomics, so no partition locks are
