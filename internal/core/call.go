@@ -22,11 +22,8 @@ const drainBatch = 64
 // result slots and signals done, and Wait recycles it. A Call must not be
 // touched after Wait returns.
 type Call struct {
-	op      BatchKind
+	op      BatchOp // the single op (!isBatch)
 	isBatch bool
-	key     []byte
-	value   []byte
-	delta   int64
 
 	// Batch fields (isBatch): the per-partition sub-batch, the submission
 	// index of each sub-op, and the BatchCall's shared results slice
@@ -54,7 +51,7 @@ func getCall() *Call { return callPool.Get().(*Call) }
 // putCall clears the slot's references (so pooled calls don't pin request
 // buffers) and returns it to the pool.
 func putCall(c *Call) {
-	c.key, c.value, c.val = nil, nil, nil
+	c.op, c.val = BatchOp{}, nil
 	c.err = nil
 	c.results = nil
 	clear(c.batch)
@@ -72,9 +69,8 @@ func putCall(c *Call) {
 //ss:xpart — the dispatch plane routes into a partition's queue; the worker behind it owns the Store.
 func (p *Partitioned) Submit(routeM *sim.Meter, kind BatchKind, key, value []byte, delta int64) *Call {
 	c := getCall()
-	c.op = kind
+	c.op = BatchOp{Kind: kind, Key: key, Value: value, Delta: delta}
 	c.isBatch = false
-	c.key, c.value, c.delta = key, value, delta
 	p.workers[p.Route(routeM, key)] <- c
 	return c
 }
@@ -138,36 +134,17 @@ func (bc *BatchCall) Wait() []BatchResult {
 	return bc.results
 }
 
-// exec runs a single-op call through the Store's per-op entry points,
-// keeping the seed's per-op accounting for non-batched dispatch.
-func (c *Call) exec(s *Store, m *sim.Meter) {
-	switch c.op {
-	case BatchGet:
-		c.val, c.err = s.Get(m, c.key)
-	case BatchSet:
-		c.err = s.Set(m, c.key, c.value)
-	case BatchDelete:
-		c.err = s.Delete(m, c.key)
-	case BatchAppend:
-		c.err = s.Append(m, c.key, c.value)
-	case BatchIncr:
-		c.num, c.err = s.Incr(m, c.key, c.delta)
-	default:
-		c.err = ErrBadBatchOp
-	}
-}
-
 // journalOp logs one successfully applied mutation through the worker's
 // journal, in apply order, before the call is acknowledged. A journal
 // write failure never fails the client operation — the in-memory store is
 // intact — but the log is now incomplete: it is detached and the
 // partition flagged (JournalLost) so health reports it and auto-heal
 // refuses to rebuild from a log missing acknowledged writes.
-func journalOp(st *WorkerState, kind BatchKind, key, value []byte, delta int64) {
+func journalOp(st *WorkerState, op *BatchOp) {
 	if st.Journal == nil {
 		return
 	}
-	if err := st.Journal.LogOp(st.Meter, kind, key, value, delta); err != nil {
+	if err := st.Journal.LogOp(st.Meter, op.Kind, op.Key, op.Value, op.Delta); err != nil {
 		st.Journal = nil
 		st.Store.noteJournalLost()
 	}
@@ -200,9 +177,10 @@ func runDrain(st *WorkerState, calls []*Call, ops []BatchOp, rs []BatchResult) (
 	s, m := st.Store, st.Meter
 	if len(calls) == 1 && !calls[0].isBatch {
 		c := calls[0]
-		c.exec(s, m)
-		if c.err == nil && c.op != BatchGet {
-			journalOp(st, c.op, c.key, c.value, c.delta)
+		r := s.Exec(m, c.op)
+		c.val, c.num, c.err = r.Val, r.Num, r.Err
+		if c.err == nil && c.op.Kind != BatchGet {
+			journalOp(st, &c.op)
 			if cerr := commitJournal(st, true); cerr != nil {
 				c.err = cerr
 			}
@@ -215,7 +193,7 @@ func runDrain(st *WorkerState, calls []*Call, ops []BatchOp, rs []BatchResult) (
 		if c.isBatch {
 			ops = append(ops, c.batch...)
 		} else {
-			ops = append(ops, BatchOp{Kind: c.op, Key: c.key, Value: c.value, Delta: c.delta})
+			ops = append(ops, c.op)
 		}
 	}
 	if cap(rs) < len(ops) {
@@ -228,7 +206,7 @@ func runDrain(st *WorkerState, calls []*Call, ops []BatchOp, rs []BatchResult) (
 	journaled := false
 	for i := range ops {
 		if rs[i].Err == nil && ops[i].Kind != BatchGet {
-			journalOp(st, ops[i].Kind, ops[i].Key, ops[i].Value, ops[i].Delta)
+			journalOp(st, &ops[i])
 			journaled = true
 		}
 	}

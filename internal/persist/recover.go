@@ -1,15 +1,16 @@
-// Crash-consistent WAL recovery: replay-to-last-valid-prefix.
+// Log replay: one scan, two policies for a bad tail.
 //
-// ReplayWAL treats any malformed byte as fatal — correct for an intact
-// log, but a *crash mid-append* legitimately leaves a torn frame at the
-// tail (see WAL.append's tear injection point). RecoverWAL distinguishes
-// the two: sealed records are replayed while they parse, authenticate
-// and stay sequence-dense; the first invalid byte ends the valid prefix
-// and everything after it is discarded (and truncated off the file), with
-// the discard reported. Security is unchanged — an attacker "tearing" the
-// log deliberately can only shorten it, and a prefix shorter than the
-// platform counter's pinned history still fails with ErrRollback exactly
-// as in ReplayWAL.
+// ReplayWAL and RecoverWAL both replay sealed records while they parse,
+// authenticate and stay sequence-dense, through parseSealedRecord →
+// core.DecodeMutation → core.Store.Exec. They differ only at the first
+// invalid byte. ReplayWAL treats it as fatal — right for a log that must
+// be intact — and leaves the file untouched. RecoverWAL treats it as the
+// torn tail a crash mid-append legitimately leaves (see WAL.append's tear
+// injection point): everything after the valid prefix is discarded and
+// truncated off the file, with the discard reported. Security is the same
+// either way — an attacker "tearing" the log deliberately can only shorten
+// it, and a prefix shorter than the platform counter's pinned history
+// fails with ErrRollback.
 package persist
 
 import (
@@ -44,21 +45,38 @@ func (r *RecoveryReport) String() string {
 		r.Applied, r.DiscardedBytes, r.TailErr)
 }
 
+// ReplayWAL rebuilds state by applying the log in dir to the given store
+// (typically freshly restored from the last snapshot, or empty). It
+// verifies sealing, sequence density, and that the log covers at least
+// the batches pinned by the platform counter (rollback defense). Any
+// defect fails with ErrLogCorrupt and leaves the file as it was. It
+// returns a WAL positioned to continue appending.
+func ReplayWAL(store *core.Store, dir string, batchEvery int, m *sim.Meter) (*WAL, error) {
+	w, _, err := replayLog(store, dir, batchEvery, m, false)
+	return w, err
+}
+
 // RecoverWAL rebuilds state from the log in dir, tolerating a torn tail:
 // the longest valid record prefix is replayed into store, the rest is
 // truncated off the file. The rollback defense is preserved — a prefix
 // shorter than the platform counter's pinned history returns ErrRollback.
 // On success the returned WAL continues appending after the last valid
-// record. Reading the log back is an enclave exit, charged up front.
+// record.
+func RecoverWAL(store *core.Store, dir string, batchEvery int, m *sim.Meter) (*WAL, *RecoveryReport, error) {
+	return replayLog(store, dir, batchEvery, m, true)
+}
+
+// replayLog is the scan behind ReplayWAL and RecoverWAL; repair selects
+// RecoverWAL's handling of a bad tail. Reading the log back is an enclave
+// exit, charged up front.
 //
 //ss:ocall
 //ss:attacker — a torn or tampered log is host-controlled input.
-func RecoverWAL(store *core.Store, dir string, batchEvery int, m *sim.Meter) (*WAL, *RecoveryReport, error) {
+func replayLog(store *core.Store, dir string, batchEvery int, m *sim.Meter, repair bool) (*WAL, *RecoveryReport, error) {
 	if batchEvery <= 0 {
 		batchEvery = 64
 	}
-	id := CounterIDFor(dir + "/wal")
-	pinned := store.Enclave().EnsureMonotonicCounter(id)
+	pinned := store.Enclave().EnsureMonotonicCounter(CounterIDFor(dir + "/wal"))
 
 	path := filepath.Join(dir, walFile)
 	store.Enclave().Syscall(m, false)
@@ -68,33 +86,33 @@ func RecoverWAL(store *core.Store, dir string, batchEvery int, m *sim.Meter) (*W
 	}
 
 	rep := &RecoveryReport{}
-	seq := uint64(0)
-	off := 0   // scan position
-	valid := 0 // end of the last fully applied record
-	for off < len(data) {
-		rec, next, terr := parseSealedRecord(store, m, data, off, seq)
+	valid := 0 // end of the last applied record
+	for valid < len(data) {
+		op, next, terr := parseSealedRecord(store, m, data, valid, rep.Applied)
 		if terr != nil {
 			rep.TailErr = terr
 			break
 		}
-		// Apply before advancing: a store-level failure here is real
-		// (tampered memory, not a torn log) and aborts recovery.
-		if err := applyRecord(store, m, rec); err != nil {
-			return nil, nil, err
+		// A store-level failure here is real (tampered memory, not a bad
+		// log) and aborts replay. Deleting an absent key is not: log-first
+		// Delete may have logged a key the store never held.
+		if r := store.Exec(m, op); r.Err != nil && !(op.Kind == core.BatchDelete && errors.Is(r.Err, core.ErrNotFound)) {
+			return nil, nil, r.Err
 		}
-		off = next
 		valid = next
-		seq++
+		rep.Applied++
 	}
-	rep.Applied = seq
 	rep.DiscardedBytes = len(data) - valid
+	if rep.TailErr != nil && !repair {
+		return nil, nil, rep.TailErr
+	}
 
-	// Rollback defense, identical to ReplayWAL: the valid prefix must
-	// still cover the batches the platform counter pinned. A host that
-	// "tears" away acknowledged, pinned records is rolling back.
-	if pinned > 0 && seq < minSeqRequired(pinned, uint64(batchEvery)) {
+	// Rollback defense: the platform counter moved once per full batch
+	// (plus explicit pins). A log — or valid prefix — shorter than the
+	// pinned history was rolled back.
+	if need := minSeqRequired(pinned, uint64(batchEvery)); rep.Applied < need {
 		return nil, nil, fmt.Errorf("%w: log has %d valid records but platform counter pins >= %d",
-			ErrRollback, seq, minSeqRequired(pinned, uint64(batchEvery)))
+			ErrRollback, rep.Applied, need)
 	}
 
 	// Make the repair durable: the discarded tail must not resurrect on
@@ -104,82 +122,38 @@ func RecoverWAL(store *core.Store, dir string, batchEvery int, m *sim.Meter) (*W
 			return nil, nil, err
 		}
 	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+	w, err := openWAL(store, dir, batchEvery, rep.Applied)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &WAL{
-		main:       store,
-		dir:        dir,
-		counter:    id,
-		f:          f,
-		seq:        seq,
-		batchEvery: uint64(batchEvery),
-		pinnedSeq:  seq,
-	}, rep, nil
+	return w, rep, nil
 }
 
-// parseSealedRecord reads, unseals and validates the record at off,
-// returning the plaintext record and the offset past it. Any defect —
-// short frame, bad seal, wrong sequence, inconsistent lengths — comes
-// back as a typed ErrLogCorrupt describing the tail.
-func parseSealedRecord(store *core.Store, m *sim.Meter, data []byte, off int, wantSeq uint64) (rec []byte, next int, err error) {
+// parseSealedRecord reads, unseals and decodes the record at off,
+// returning its mutation and the offset past it. Any defect — short
+// frame, bad seal, wrong sequence, malformed mutation — comes back as a
+// typed ErrLogCorrupt describing the tail.
+func parseSealedRecord(store *core.Store, m *sim.Meter, data []byte, off int, wantSeq uint64) (op core.BatchOp, next int, err error) {
 	if off+4 > len(data) {
-		return nil, 0, fmt.Errorf("%w: truncated frame header", ErrLogCorrupt)
+		return op, 0, fmt.Errorf("%w: truncated frame header", ErrLogCorrupt)
 	}
 	n := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
 	if n <= 0 || off+n > len(data) {
-		return nil, 0, fmt.Errorf("%w: truncated record", ErrLogCorrupt)
+		return op, 0, fmt.Errorf("%w: truncated record", ErrLogCorrupt)
 	}
 	rec, uerr := store.Enclave().Unseal(m, data[off:off+n])
 	if uerr != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrLogCorrupt, uerr)
+		return op, 0, fmt.Errorf("%w: %v", ErrLogCorrupt, uerr)
 	}
-	if len(rec) < 17 {
-		return nil, 0, fmt.Errorf("%w: short record", ErrLogCorrupt)
+	if len(rec) < 8 {
+		return op, 0, fmt.Errorf("%w: short record", ErrLogCorrupt)
 	}
-	gotSeq := binary.LittleEndian.Uint64(rec[0:])
-	if gotSeq != wantSeq {
-		return nil, 0, fmt.Errorf("%w: sequence %d, want %d (reordered or dropped)", ErrLogCorrupt, gotSeq, wantSeq)
+	if gotSeq := binary.LittleEndian.Uint64(rec); gotSeq != wantSeq {
+		return op, 0, fmt.Errorf("%w: sequence %d, want %d (reordered or dropped)", ErrLogCorrupt, gotSeq, wantSeq)
 	}
-	kl := int(binary.LittleEndian.Uint32(rec[9:]))
-	vl := int(binary.LittleEndian.Uint32(rec[13:]))
-	if 17+kl+vl != len(rec) {
-		return nil, 0, fmt.Errorf("%w: bad lengths", ErrLogCorrupt)
+	if op, err = core.DecodeMutation(rec[8:]); err != nil {
+		return op, 0, fmt.Errorf("%w: %v", ErrLogCorrupt, err)
 	}
-	switch op := rec[8]; op {
-	case walSet, walDelete, walAppend:
-	case walIncr:
-		if vl != 8 {
-			return nil, 0, fmt.Errorf("%w: incr payload must be 8 bytes, got %d", ErrLogCorrupt, vl)
-		}
-	default:
-		return nil, 0, fmt.Errorf("%w: unknown op %d", ErrLogCorrupt, op)
-	}
-	return rec, off + n, nil
-}
-
-// applyRecord replays one validated plaintext record into the store.
-//
-//ss:nopanic-ok(record lengths are validated by parseSealedRecord before apply)
-func applyRecord(store *core.Store, m *sim.Meter, rec []byte) error {
-	kl := int(binary.LittleEndian.Uint32(rec[9:]))
-	key := rec[17 : 17+kl]
-	val := rec[17+kl:]
-	switch rec[8] {
-	case walDelete:
-		if err := store.Delete(m, key); err != nil && !errors.Is(err, core.ErrNotFound) {
-			return err
-		}
-		return nil
-	case walAppend:
-		return store.Append(m, key, val)
-	case walIncr:
-		_, err := store.Incr(m, key, int64(binary.LittleEndian.Uint64(val)))
-		return err
-	default:
-		return store.Set(m, key, val)
-	}
+	return op, off + n, nil
 }

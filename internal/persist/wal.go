@@ -9,6 +9,14 @@
 // platform counter is only bumped once per batch, bounding both the replay
 // window and the counter cost.
 //
+// wal.bin is a run of frames (integers little-endian):
+//
+//	sealedLen(4) | seal(seq(8) | mutation)
+//
+// where mutation is the core.AppendMutation record — the same record the
+// replication stream seals — so replay decodes it with core.DecodeMutation
+// and applies it with core.Store.Exec, the partition worker's own switch.
+//
 // Guarantees:
 //   - every acknowledged mutation survives a crash (replay from the last
 //     snapshot + log);
@@ -23,7 +31,6 @@ package persist
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -37,21 +44,10 @@ var ErrLogCorrupt = errors.New("persist: write-ahead log corrupt")
 
 const walFile = "wal.bin"
 
-// log record ops. walSet/walDelete are the original log-then-apply record
-// kinds; walAppend/walIncr exist for the journal path (LogOp), which logs
-// the operation as executed instead of materializing the resulting value.
-const (
-	walSet byte = iota + 1
-	walDelete
-	walAppend
-	walIncr // value payload: 8-byte little-endian delta
-)
-
 // WAL wraps a core.Store with per-operation durability. Like the
 // underlying store it is single-owner.
 type WAL struct {
 	main    *core.Store
-	dir     string
 	counter uint32
 
 	f   *os.File
@@ -70,24 +66,30 @@ func (w *WAL) SetFaultPlane(p *fault.Plane) { w.faults = p }
 
 // NewWAL creates a write-ahead-logged store writing into dir. batchEvery
 // bounds the rollback-unprotected tail (default 64).
-//
-//ss:host(log open at store construction, outside the measured window)
 func NewWAL(store *core.Store, dir string, batchEvery int) (*WAL, error) {
+	store.Enclave().EnsureMonotonicCounter(CounterIDFor(dir + "/wal"))
+	return openWAL(store, dir, batchEvery, 0)
+}
+
+// openWAL opens dir's log for appending, continuing at record seq with
+// every earlier record counted as pinned.
+//
+//ss:host(log open at store construction or recovery, outside the measured window)
+func openWAL(store *core.Store, dir string, batchEvery int, seq uint64) (*WAL, error) {
 	if batchEvery <= 0 {
 		batchEvery = 64
 	}
-	id := CounterIDFor(dir + "/wal")
-	store.Enclave().EnsureMonotonicCounter(id)
 	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return nil, err
 	}
 	return &WAL{
 		main:       store,
-		dir:        dir,
-		counter:    id,
+		counter:    CounterIDFor(dir + "/wal"),
 		f:          f,
+		seq:        seq,
 		batchEvery: uint64(batchEvery),
+		pinnedSeq:  seq,
 	}, nil
 }
 
@@ -117,16 +119,9 @@ func (w *WAL) Close() error {
 // an OCALL before the storage write is charged.
 //
 //ss:ocall
-func (w *WAL) append(m *sim.Meter, op byte, key, val []byte) error {
-	rec := make([]byte, 0, 17+len(key)+len(val))
-	var hdr [17]byte
-	binary.LittleEndian.PutUint64(hdr[0:], w.seq)
-	hdr[8] = op
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(len(val)))
-	rec = append(rec, hdr[:]...)
-	rec = append(rec, key...)
-	rec = append(rec, val...)
+func (w *WAL) append(m *sim.Meter, op core.BatchOp) error {
+	rec := binary.LittleEndian.AppendUint64(make([]byte, 0, 13+len(op.Key)+len(op.Value)), w.seq)
+	rec = core.AppendMutation(rec, op)
 
 	sealed := w.main.Enclave().Seal(m, rec)
 	var frame [4]byte
@@ -159,64 +154,42 @@ func (w *WAL) append(m *sim.Meter, op byte, key, val []byte) error {
 	return nil
 }
 
-// Set logs then applies a set.
-func (w *WAL) Set(m *sim.Meter, key, value []byte) error {
-	if err := w.append(m, walSet, key, value); err != nil {
+// apply logs op, then applies it. Apply-first would lose the op on a
+// crash between the two steps; log-first means replay may delete an
+// absent key, which replay tolerates.
+func (w *WAL) apply(m *sim.Meter, op core.BatchOp) error {
+	if err := w.append(m, op); err != nil {
 		return err
 	}
-	return w.main.Set(m, key, value)
+	return w.main.Exec(m, op).Err
+}
+
+// Set logs then applies a set.
+func (w *WAL) Set(m *sim.Meter, key, value []byte) error {
+	return w.apply(m, core.BatchOp{Kind: core.BatchSet, Key: key, Value: value})
 }
 
 // Delete logs then applies a delete.
 func (w *WAL) Delete(m *sim.Meter, key []byte) error {
-	// Apply-first would lose the tombstone on crash between the two
-	// steps; log-first means replay may delete an absent key, which is
-	// idempotent.
-	if err := w.append(m, walDelete, key, nil); err != nil {
-		return err
-	}
-	return w.main.Delete(m, key)
+	return w.apply(m, core.BatchOp{Kind: core.BatchDelete, Key: key})
 }
 
-// Append logs the resulting value (physical logging keeps replay simple
-// and idempotent).
+// Append logs then applies a suffix append.
 func (w *WAL) Append(m *sim.Meter, key, suffix []byte) error {
-	old, err := w.main.Get(m, key)
-	if err != nil && !errors.Is(err, core.ErrNotFound) {
-		return err
-	}
-	nv := append(append([]byte{}, old...), suffix...)
-	return w.Set(m, key, nv)
-}
-
-// Get reads through to the store.
-func (w *WAL) Get(m *sim.Meter, key []byte) ([]byte, error) {
-	return w.main.Get(m, key)
+	return w.apply(m, core.BatchOp{Kind: core.BatchAppend, Key: key, Value: suffix})
 }
 
 // LogOp implements core.Journal: a partition worker calls it once per
 // successfully applied mutation, in apply order, so replaying the log
 // over the partition's last snapshot reproduces its state. Unlike
-// Set/Delete above (log-then-apply wrappers), the op is already applied
-// when logged; the worker acknowledges the client only after journaling,
-// so a crash between apply and log loses only unacknowledged work.
+// Set/Delete/Append above (log-then-apply wrappers), the op is already
+// applied when logged; the worker acknowledges the client only after
+// journaling, so a crash between apply and log loses only unacknowledged
+// work.
 //
 //ss:ocall
 func (w *WAL) LogOp(m *sim.Meter, kind core.BatchKind, key, value []byte, delta int64) error {
-	switch kind {
-	case core.BatchSet:
-		return w.append(m, walSet, key, value)
-	case core.BatchDelete:
-		return w.append(m, walDelete, key, nil)
-	case core.BatchAppend:
-		return w.append(m, walAppend, key, value)
-	case core.BatchIncr:
-		var d [8]byte
-		binary.LittleEndian.PutUint64(d[:], uint64(delta))
-		return w.append(m, walIncr, key, d[:])
-	default:
-		return fmt.Errorf("persist: cannot journal op kind %d", kind)
-	}
+	return w.append(m, core.BatchOp{Kind: kind, Key: key, Value: value, Delta: delta})
 }
 
 // Pin forces a counter increment covering every record so far (clean
@@ -230,109 +203,6 @@ func (w *WAL) Pin(m *sim.Meter) error {
 	}
 	w.pinnedSeq = w.seq
 	return nil
-}
-
-// ReplayWAL rebuilds state by applying the log in dir to the given store
-// (typically freshly restored from the last snapshot, or empty). It
-// verifies sealing, sequence density, and — when strict — that the log
-// covers at least the batches pinned by the platform counter (rollback
-// defense). It returns a WAL positioned to continue appending. Reading
-// the log back is an enclave exit, charged up front.
-//
-//ss:ocall
-//ss:attacker — the log file is host-controlled input.
-func ReplayWAL(store *core.Store, dir string, batchEvery int, m *sim.Meter) (*WAL, error) {
-	if batchEvery <= 0 {
-		batchEvery = 64
-	}
-	id := CounterIDFor(dir + "/wal")
-	pinned := store.Enclave().EnsureMonotonicCounter(id)
-
-	store.Enclave().Syscall(m, false)
-	data, err := os.ReadFile(filepath.Join(dir, walFile))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	seq := uint64(0)
-	off := 0
-	for off < len(data) {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("%w: truncated frame header", ErrLogCorrupt)
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if n <= 0 || off+n > len(data) {
-			return nil, fmt.Errorf("%w: truncated record", ErrLogCorrupt)
-		}
-		rec, err := store.Enclave().Unseal(m, data[off:off+n])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrLogCorrupt, err)
-		}
-		off += n
-		if len(rec) < 17 {
-			return nil, fmt.Errorf("%w: short record", ErrLogCorrupt)
-		}
-		gotSeq := binary.LittleEndian.Uint64(rec[0:])
-		if gotSeq != seq {
-			return nil, fmt.Errorf("%w: sequence %d, want %d (reordered or dropped)", ErrLogCorrupt, gotSeq, seq)
-		}
-		op := rec[8]
-		kl := int(binary.LittleEndian.Uint32(rec[9:]))
-		vl := int(binary.LittleEndian.Uint32(rec[13:]))
-		if 17+kl+vl != len(rec) {
-			return nil, fmt.Errorf("%w: bad lengths", ErrLogCorrupt)
-		}
-		key := rec[17 : 17+kl]
-		val := rec[17+kl:]
-		switch op {
-		case walSet:
-			if err := store.Set(m, key, val); err != nil {
-				return nil, err
-			}
-		case walDelete:
-			if err := store.Delete(m, key); err != nil && !errors.Is(err, core.ErrNotFound) {
-				return nil, err
-			}
-		case walAppend:
-			if err := store.Append(m, key, val); err != nil {
-				return nil, err
-			}
-		case walIncr:
-			if vl != 8 {
-				return nil, fmt.Errorf("%w: incr payload must be 8 bytes, got %d", ErrLogCorrupt, vl)
-			}
-			if _, err := store.Incr(m, key, int64(binary.LittleEndian.Uint64(val))); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown op %d", ErrLogCorrupt, op)
-		}
-		seq++
-	}
-
-	// Rollback defense: the platform counter moved once per full batch
-	// (plus explicit pins). A log shorter than the pinned history was
-	// rolled back.
-	minSeq := pinned * uint64(batchEvery)
-	if pinned > 0 && seq < minSeqRequired(pinned, uint64(batchEvery)) {
-		return nil, fmt.Errorf("%w: log has %d records but platform counter pins >= %d",
-			ErrRollback, seq, minSeqRequired(pinned, uint64(batchEvery)))
-	}
-	_ = minSeq
-
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, err
-	}
-	return &WAL{
-		main:       store,
-		dir:        dir,
-		counter:    id,
-		f:          f,
-		seq:        seq,
-		batchEvery: uint64(batchEvery),
-		pinnedSeq:  seq,
-	}, nil
 }
 
 // minSeqRequired is conservative: `pins` increments imply at least

@@ -60,14 +60,14 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 	defer w2.Close()
 
-	if _, err := w2.Get(m2, []byte("k10")); !errors.Is(err, core.ErrNotFound) {
+	if _, err := w2.Main().Get(m2, []byte("k10")); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("replayed delete lost: %v", err)
 	}
-	v, err := w2.Get(m2, []byte("k11"))
+	v, err := w2.Main().Get(m2, []byte("k11"))
 	if err != nil || string(v) != "v11+tail" {
 		t.Fatalf("replayed append: %q %v", v, err)
 	}
-	v, err = w2.Get(m2, []byte("k49"))
+	v, err = w2.Main().Get(m2, []byte("k49"))
 	if err != nil || string(v) != "v49" {
 		t.Fatalf("replayed set: %q %v", v, err)
 	}
@@ -119,6 +119,11 @@ func TestWALTamperDetected(t *testing.T) {
 	s2 := core.New(e2, nil, core.Defaults(64))
 	if _, err := ReplayWAL(s2, dir, 8, sim.NewMeter(e2.Model())); !errors.Is(err, ErrLogCorrupt) {
 		t.Fatalf("tampered log: %v", err)
+	}
+	// A failed replay is evidence, not a repair: the log stays as found.
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("failed ReplayWAL changed %s (%d -> %d bytes, %v)", walFile, len(data), len(after), err)
 	}
 }
 

@@ -52,14 +52,13 @@ type Applier struct {
 
 	// mu serializes Apply/Promote (one replication stream at a time; the
 	// serving data path never takes it).
-	mu         sync.Mutex
-	chain      *chainState
-	nextSeq    uint64
-	epoch      uint64
-	promoted   bool
-	sinceSeal  int
-	frameBuf   Frame
-	recScratch []byte
+	mu        sync.Mutex
+	chain     *chainState
+	nextSeq   uint64
+	epoch     uint64
+	promoted  bool
+	sinceSeal int
+	frameBuf  Frame
 }
 
 // NewApplier builds a replica apply engine over pool p. The pool's
@@ -179,9 +178,9 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 		}
 		// A reset frame restarts the chain (genesis MAC, may jump the
 		// sequence forward); anything else must extend it in exact
-		// sequence order. The kind lives inside the sealed record, so
-		// classify by which verification succeeds: continuation first,
-		// genesis as the fallback.
+		// sequence order. What marks a reset (its empty record) is
+		// sealed, so classify by which verification succeeds:
+		// continuation first, genesis as the fallback.
 		model := a.enclave.Model()
 		isReset := false
 		if a.chain.check(m, model, body, tag) {
@@ -207,15 +206,11 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 			a.logf("repl: apply: unseal failed at seq %d: %v", f.Seq, err)
 			return a.nextSeq - 1, proto.StatusError
 		}
-		if err := decodeRecord(f, rec); err != nil {
-			a.logf("repl: apply: bad record at seq %d: %v", f.Seq, err)
-			return a.nextSeq - 1, proto.StatusError
-		}
-		if isReset != (f.Kind == FrameReset) {
-			// A genesis-MAC'd frame must BE a reset and vice versa.
-			return a.nextSeq - 1, proto.StatusError
-		}
-		if f.Kind == FrameReset {
+		if isReset {
+			// A genesis-MAC'd frame must carry the empty reset record.
+			if len(rec) != 0 {
+				return a.nextSeq - 1, proto.StatusError
+			}
 			if f.Epoch > a.epoch {
 				a.epoch = f.Epoch
 			}
@@ -225,7 +220,11 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 			a.sealState()
 			continue
 		}
-		if err := a.applyFrame(m, f); err != nil {
+		if f.Op, err = core.DecodeMutation(rec); err != nil {
+			a.logf("repl: apply: bad record at seq %d: %v", f.Seq, err)
+			return a.nextSeq - 1, proto.StatusError
+		}
+		if err := a.applyFrame(m, &f.Op); err != nil {
 			// The frame verified but the engine refused it (e.g. the target
 			// partition is mid-rebuild). Rewind the chain? No — the chain
 			// advanced, so a blind retry would fail verification. Force a
@@ -246,10 +245,9 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 // applyFrame replays one verified mutation through the partition worker
 // that owns its key — strictly sequentially, so a mid-payload failure
 // never leaves later frames applied before earlier ones.
-func (a *Applier) applyFrame(m *sim.Meter, f *Frame) error {
-	kind := batchKind(f.Kind)
-	_, _, err := a.p.Submit(m, kind, f.Key, f.Val, f.Delta).Wait()
-	if kind == core.BatchDelete && errors.Is(err, core.ErrNotFound) {
+func (a *Applier) applyFrame(m *sim.Meter, op *core.BatchOp) error {
+	_, _, err := a.p.Submit(m, op.Kind, op.Key, op.Value, op.Delta).Wait()
+	if op.Kind == core.BatchDelete && errors.Is(err, core.ErrNotFound) {
 		// Deleting an absent key replays cleanly (e.g. after a bootstrap
 		// snapshot raced a delete the stream then repeats).
 		return nil
@@ -258,7 +256,7 @@ func (a *Applier) applyFrame(m *sim.Meter, f *Frame) error {
 }
 
 // resetParts wipes every partition to an empty store with the same
-// options — the destructive first step of a bootstrap (FrameReset).
+// options — the destructive first step of a bootstrap (a reset frame).
 func (a *Applier) resetParts() {
 	for i := 0; i < a.p.Parts(); i++ {
 		a.p.RunCtl(i, func(st *core.WorkerState) {

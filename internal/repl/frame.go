@@ -16,14 +16,11 @@
 // never crosses the link in the clear — and mac is an AES-CMAC chained
 // over the previous frame's mac, the header and the blob, so dropped,
 // duplicated, reordered or spliced frames are detected before anything is
-// applied. The sealed record inside blob is:
-//
-//	kind(1) | keyLen(4) | delta(8) | key | val
-//
-// with val's length implied by the record length. FrameReset is the chain
-// genesis: it is MAC'd against a zero previous tag, carries no key/value,
-// and instructs the replica to wipe its partitions and restart the chain
-// at the reset's sequence — the first frame of every bootstrap snapshot
+// applied. The sealed record is the core.AppendMutation record, the same
+// one the write-ahead log seals. A frame whose sealed record is empty is
+// a reset, the chain genesis: it is MAC'd against a zero previous tag and
+// instructs the replica to wipe its partitions and restart the chain at
+// the reset's sequence — the first frame of every bootstrap snapshot
 // stream.
 package repl
 
@@ -38,30 +35,11 @@ import (
 	"shieldstore/internal/sim"
 )
 
-// Frame record kinds (the kind byte of the sealed record).
-const (
-	// FrameSet replicates a full-value store (core.BatchSet).
-	FrameSet byte = iota + 1
-	// FrameDelete replicates a removal.
-	FrameDelete
-	// FrameAppend replicates a suffix append.
-	FrameAppend
-	// FrameIncr replicates a numeric increment; delta carries the amount.
-	FrameIncr
-	// FrameReset is the chain-genesis frame: wipe all replica partitions,
-	// adopt the frame's sequence and epoch, restart the MAC chain from a
-	// zero previous tag. Sent as the first frame of a bootstrap stream.
-	FrameReset
-)
-
 // frameHdr is the fixed outer header: seq(8)+epoch(8)+part(2)+blobLen(4).
 const frameHdr = 22
 
 // frameOverhead is the per-frame framing cost beyond the sealed blob.
 const frameOverhead = frameHdr + cmac.Size
-
-// recHdr is the fixed sealed-record header: kind(1)+keyLen(4)+delta(8).
-const recHdr = 13
 
 // maxBlob bounds a single frame's sealed blob — a decode-time sanity
 // limit matching the wire protocol's own frame ceiling.
@@ -74,17 +52,13 @@ var ErrFrameCorrupt = errors.New("repl: replication frame corrupt")
 // chain — evidence of tampering, splicing or a desynced stream.
 var ErrChainBroken = errors.New("repl: frame MAC chain broken")
 
-// Frame is one decoded replication frame. Key and Val alias the decoded
-// record buffer and are only valid until the next decode into the same
-// scratch.
+// Frame is one decoded replication frame. Op's Key and Value alias the
+// unsealed record and are only valid until the next decode.
 type Frame struct {
 	Seq   uint64
 	Epoch uint64
 	Part  uint16
-	Kind  byte
-	Delta int64
-	Key   []byte
-	Val   []byte
+	Op    core.BatchOp
 }
 
 // chainState is the sealed per-stream MAC-chain state: the chain key
@@ -136,7 +110,7 @@ func (c *chainState) release() {
 }
 
 // reset rewinds the chain to genesis (zero previous tag) — done on both
-// ends around a FrameReset.
+// ends around a reset frame.
 //
 //ss:seals — mutates only the trusted running tag.
 func (c *chainState) reset() { c.last = [cmac.Size]byte{} }
@@ -172,7 +146,7 @@ func (c *chainState) check(m *sim.Meter, model *sim.CostModel, body, tag []byte)
 }
 
 // checkGenesis verifies tag as a chain restart (zero previous tag); on
-// success the chain adopts it. Used for FrameReset frames only.
+// success the chain adopts it. Used for reset frames only.
 //
 //ss:seals — conditionally restarts the trusted chain tag.
 func (c *chainState) checkGenesis(m *sim.Meter, model *sim.CostModel, body, tag []byte) bool {
@@ -186,45 +160,6 @@ func (c *chainState) checkGenesis(m *sim.Meter, model *sim.CostModel, body, tag 
 	}
 	copy(c.last[:], tag)
 	return true
-}
-
-// appendRecord encodes the sealed-record plaintext for one mutation.
-func appendRecord(dst []byte, kind byte, key, val []byte, delta int64) []byte {
-	var hdr [recHdr]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(key)))
-	binary.LittleEndian.PutUint64(hdr[5:13], uint64(delta))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, key...)
-	dst = append(dst, val...)
-	return dst
-}
-
-// decodeRecord parses a sealed-record plaintext into f's Kind/Delta/
-// Key/Val fields. Every offset is length-guarded: the record came off the
-// wire (sealing authenticates the bytes, but a desynced or hostile peer
-// still must not be able to panic the applier).
-//
-//ss:attacker — defensive decode of peer-supplied record bytes.
-func decodeRecord(f *Frame, rec []byte) error {
-	if len(rec) < recHdr {
-		return ErrFrameCorrupt
-	}
-	f.Kind = rec[0]
-	kl := int(binary.LittleEndian.Uint32(rec[1:5]))
-	f.Delta = int64(binary.LittleEndian.Uint64(rec[5:13]))
-	if kl < 0 || kl > len(rec)-recHdr {
-		return ErrFrameCorrupt
-	}
-	f.Key = rec[recHdr : recHdr+kl]
-	f.Val = rec[recHdr+kl:]
-	if f.Kind < FrameSet || f.Kind > FrameReset {
-		return ErrFrameCorrupt
-	}
-	if f.Kind == FrameReset && (kl != 0 || len(f.Val) != 0) {
-		return ErrFrameCorrupt
-	}
-	return nil
 }
 
 // decodeFrame parses the outer layer of one frame at the start of buf,
@@ -267,35 +202,4 @@ func encodeFrame(m *sim.Meter, e *sgx.Enclave, chain *chainState, seq, epoch uin
 	out = append(out, blob...)
 	tag := chain.extend(m, e.Model(), out)
 	return append(out, tag[:]...)
-}
-
-// frameKind maps a journaled mutation kind onto its frame record kind
-// (only mutations are journaled, so BatchGet never reaches here).
-func frameKind(kind core.BatchKind) byte {
-	switch kind {
-	case core.BatchSet:
-		return FrameSet
-	case core.BatchDelete:
-		return FrameDelete
-	case core.BatchAppend:
-		return FrameAppend
-	case core.BatchIncr:
-		return FrameIncr
-	}
-	return 0
-}
-
-// batchKind maps a frame record kind back onto the replica-side batch op.
-func batchKind(kind byte) core.BatchKind {
-	switch kind {
-	case FrameSet:
-		return core.BatchSet
-	case FrameDelete:
-		return core.BatchDelete
-	case FrameAppend:
-		return core.BatchAppend
-	case FrameIncr:
-		return core.BatchIncr
-	}
-	return core.BatchGet
 }

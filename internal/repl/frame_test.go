@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"shieldstore/internal/cmac"
+	"shieldstore/internal/core"
 	"shieldstore/internal/mem"
 	"shieldstore/internal/sgx"
 	"shieldstore/internal/sim"
@@ -26,19 +27,14 @@ func testEnclave(seed uint64) *sgx.Enclave {
 func encodeStream(e *sgx.Enclave) (stream []byte, bounds []int) {
 	m := sim.NewMeter(e.Model())
 	chain := newChain(e)
-	type rec struct {
-		kind     byte
-		key, val string
-		delta    int64
+	ops := []core.BatchOp{
+		{Kind: core.BatchSet, Key: []byte("alpha"), Value: []byte("one")},
+		{Kind: core.BatchAppend, Key: []byte("alpha"), Value: []byte("-more")},
+		{Kind: core.BatchIncr, Key: []byte("counter"), Delta: 41},
+		{Kind: core.BatchDelete, Key: []byte("alpha")},
 	}
-	recs := []rec{
-		{FrameSet, "alpha", "one", 0},
-		{FrameAppend, "alpha", "-more", 0},
-		{FrameIncr, "counter", "", 41},
-		{FrameDelete, "alpha", "", 0},
-	}
-	for i, r := range recs {
-		f := encodeFrame(m, e, chain, uint64(i+1), 1, uint16(i%2), appendRecord(nil, r.kind, []byte(r.key), []byte(r.val), r.delta))
+	for i, op := range ops {
+		f := encodeFrame(m, e, chain, uint64(i+1), 1, uint16(i%2), core.AppendMutation(nil, op))
 		stream = append(stream, f...)
 		bounds = append(bounds, len(stream))
 	}
@@ -59,7 +55,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	model := receiver.Model()
 
 	wantKeys := []string{"alpha", "alpha", "counter", "alpha"}
-	wantKinds := []byte{FrameSet, FrameAppend, FrameIncr, FrameDelete}
+	wantKinds := []core.BatchKind{core.BatchSet, core.BatchAppend, core.BatchIncr, core.BatchDelete}
 	off, idx := 0, 0
 	var f Frame
 	for off < len(stream) {
@@ -74,17 +70,17 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: unseal: %v", idx, err)
 		}
-		if err := decodeRecord(&f, rec); err != nil {
+		if f.Op, err = core.DecodeMutation(rec); err != nil {
 			t.Fatalf("frame %d: record: %v", idx, err)
 		}
 		if f.Seq != uint64(idx+1) || f.Epoch != 1 {
 			t.Fatalf("frame %d: seq=%d epoch=%d", idx, f.Seq, f.Epoch)
 		}
-		if f.Kind != wantKinds[idx] || !bytes.Equal(f.Key, []byte(wantKeys[idx])) {
-			t.Fatalf("frame %d: kind=%d key=%q", idx, f.Kind, f.Key)
+		if f.Op.Kind != wantKinds[idx] || !bytes.Equal(f.Op.Key, []byte(wantKeys[idx])) {
+			t.Fatalf("frame %d: kind=%d key=%q", idx, f.Op.Kind, f.Op.Key)
 		}
-		if f.Kind == FrameIncr && f.Delta != 41 {
-			t.Fatalf("incr delta = %d", f.Delta)
+		if f.Op.Kind == core.BatchIncr && f.Op.Delta != 41 {
+			t.Fatalf("incr delta = %d", f.Op.Delta)
 		}
 		off += n
 		idx++
@@ -129,7 +125,7 @@ func TestFrameTamperEveryByte(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := decodeRecord(&f, rec); err != nil {
+			if _, err := core.DecodeMutation(rec); err != nil {
 				return false
 			}
 			off += n
@@ -184,9 +180,11 @@ func TestTornStreamEveryOffset(t *testing.T) {
 	}
 }
 
-// FuzzReplFrameDecode throws arbitrary bytes at the outer and inner
-// decoders: they may reject, they must never panic or read out of
-// bounds, and accepted frames must be internally consistent.
+// FuzzReplFrameDecode throws arbitrary bytes at the frame layer: the
+// outer decoder and unseal may reject, they must never panic or read out
+// of bounds, and accepted frames must be internally consistent. The
+// sealed record inside is core's mutation record, fuzzed there
+// (FuzzMutationRecord).
 func FuzzReplFrameDecode(f *testing.F) {
 	e := testEnclave(7)
 	stream, bounds := encodeStream(e)
@@ -210,12 +208,8 @@ func FuzzReplFrameDecode(f *testing.F) {
 			if len(body) != frameHdr+len(blob) || len(tag) != cmac.Size {
 				t.Fatalf("inconsistent spans: body=%d blob=%d tag=%d", len(body), len(blob), len(tag))
 			}
-			// The blob is attacker bytes too: unseal must reject or the
-			// record decoder must bound-check cleanly.
-			if rec, err := e.Unseal(sim.NewMeter(e.Model()), blob); err == nil {
-				_ = decodeRecord(&fr, rec)
-			}
-			_ = decodeRecord(&fr, blob)
+			// The blob is attacker bytes too: unseal must reject cleanly.
+			_, _ = e.Unseal(sim.NewMeter(e.Model()), blob)
 			off += n
 		}
 	})

@@ -28,16 +28,17 @@ func newTestSender(seed uint64) *testSender {
 	return &testSender{e: e, m: sim.NewMeter(e.Model()), chain: newChain(e), epoch: 1}
 }
 
-func (s *testSender) frame(kind byte, key, val string, delta int64) []byte {
+func (s *testSender) frame(kind core.BatchKind, key, val string, delta int64) []byte {
 	s.seq++
-	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, 0, appendRecord(nil, kind, []byte(key), []byte(val), delta))
+	op := core.BatchOp{Kind: kind, Key: []byte(key), Value: []byte(val), Delta: delta}
+	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, 0, core.AppendMutation(nil, op))
 }
 
 // reset restarts the chain at genesis, as a bootstrapping shipper does.
 func (s *testSender) reset() []byte {
 	s.chain.reset()
 	s.seq++
-	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, 0, appendRecord(nil, FrameReset, nil, nil, 0))
+	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, 0, nil)
 }
 
 func concat(frames ...[]byte) []byte {
@@ -79,11 +80,11 @@ func TestApplierAppliesStream(t *testing.T) {
 	p, a, m := newTestApplier(t, 9, "")
 
 	wm, st := a.Apply(m, concat(
-		s.frame(FrameSet, "a", "1", 0),
-		s.frame(FrameSet, "b", "2", 0),
-		s.frame(FrameAppend, "b", "2", 0),
-		s.frame(FrameIncr, "n", "", 5),
-		s.frame(FrameDelete, "a", "", 0),
+		s.frame(core.BatchSet, "a", "1", 0),
+		s.frame(core.BatchSet, "b", "2", 0),
+		s.frame(core.BatchAppend, "b", "2", 0),
+		s.frame(core.BatchIncr, "n", "", 5),
+		s.frame(core.BatchDelete, "a", "", 0),
 	))
 	if st != proto.StatusOK || wm != 5 {
 		t.Fatalf("Apply = (%d, %d), want (5, OK)", wm, st)
@@ -102,9 +103,9 @@ func TestApplierGapThenResend(t *testing.T) {
 	s := newTestSender(9)
 	p, a, m := newTestApplier(t, 9, "")
 
-	f1 := s.frame(FrameSet, "k1", "v1", 0)
-	f2 := s.frame(FrameSet, "k2", "v2", 0)
-	f3 := s.frame(FrameIncr, "n", "", 1)
+	f1 := s.frame(core.BatchSet, "k1", "v1", 0)
+	f2 := s.frame(core.BatchSet, "k2", "v2", 0)
+	f3 := s.frame(core.BatchIncr, "n", "", 1)
 
 	// Drop f2 on the floor: the prefix applies, the rest must NOT.
 	wm, st := a.Apply(m, concat(f1, f3))
@@ -127,14 +128,14 @@ func TestApplierSkipsDuplicatesWithoutReapply(t *testing.T) {
 	s := newTestSender(9)
 	p, a, m := newTestApplier(t, 9, "")
 
-	f1 := s.frame(FrameSet, "n", "5", 0)
-	f2 := s.frame(FrameIncr, "n", "", 3)
+	f1 := s.frame(core.BatchSet, "n", "5", 0)
+	f2 := s.frame(core.BatchIncr, "n", "", 3)
 	if _, st := a.Apply(m, concat(f1, f2)); st != proto.StatusOK {
 		t.Fatalf("first Apply status %d", st)
 	}
 	// A retransmission overlapping the applied prefix (classic after a
 	// partial ack loss): the duplicate Incr must not re-apply.
-	f3 := s.frame(FrameSet, "done", "yes", 0)
+	f3 := s.frame(core.BatchSet, "done", "yes", 0)
 	wm, st := a.Apply(m, concat(f1, f2, f3))
 	if st != proto.StatusOK || wm != 3 {
 		t.Fatalf("resend Apply = (%d, %d), want (3, OK)", wm, st)
@@ -147,8 +148,8 @@ func TestApplierRejectsReorderedAndTampered(t *testing.T) {
 	s := newTestSender(9)
 	p, a, m := newTestApplier(t, 9, "")
 
-	f1 := s.frame(FrameSet, "x", "1", 0)
-	f2 := s.frame(FrameSet, "x", "2", 0)
+	f1 := s.frame(core.BatchSet, "x", "1", 0)
+	f2 := s.frame(core.BatchSet, "x", "2", 0)
 
 	// Reordered: the later frame first reads as a gap (chain can't
 	// continue), and nothing of it applies.
@@ -167,7 +168,7 @@ func TestApplierRejectsReorderedAndTampered(t *testing.T) {
 
 	// Tampered: any byte flip in a frame is a chain break -> StatusError
 	// (the stream is dead; only a bootstrap recovers it).
-	f3 := s.frame(FrameSet, "x", "3", 0)
+	f3 := s.frame(core.BatchSet, "x", "3", 0)
 	mut := append([]byte(nil), f3...)
 	mut[len(mut)/2] ^= 1
 	if wm, st := a.Apply(m, mut); st != proto.StatusError || wm != 2 {
@@ -183,7 +184,7 @@ func TestApplierEpochFencing(t *testing.T) {
 	if a.Writable() {
 		t.Fatal("replica writable before promotion")
 	}
-	if _, st := a.Apply(m, s.frame(FrameSet, "pre", "1", 0)); st != proto.StatusOK {
+	if _, st := a.Apply(m, s.frame(core.BatchSet, "pre", "1", 0)); st != proto.StatusOK {
 		t.Fatalf("pre-promotion Apply status %d", st)
 	}
 
@@ -209,7 +210,7 @@ func TestApplierEpochFencing(t *testing.T) {
 
 	// The old primary's stream (epoch 1) is now fenced out.
 	wm := a.Watermark()
-	gotWM, st := a.Apply(m, s.frame(FrameSet, "post", "2", 0))
+	gotWM, st := a.Apply(m, s.frame(core.BatchSet, "post", "2", 0))
 	if st != proto.StatusFenced || gotWM != wm {
 		t.Fatalf("stale-epoch Apply = (%d, %d), want (%d, Fenced)", gotWM, st, wm)
 	}
@@ -220,8 +221,8 @@ func TestApplierResetWipesAndResyncs(t *testing.T) {
 	p, a, m := newTestApplier(t, 9, "")
 
 	if _, st := a.Apply(m, concat(
-		s.frame(FrameSet, "old1", "x", 0),
-		s.frame(FrameSet, "old2", "y", 0),
+		s.frame(core.BatchSet, "old1", "x", 0),
+		s.frame(core.BatchSet, "old2", "y", 0),
 	)); st != proto.StatusOK {
 		t.Fatal("seed stream failed")
 	}
@@ -233,7 +234,7 @@ func TestApplierResetWipesAndResyncs(t *testing.T) {
 	s2.seq = a.Watermark() + 3 // any jump forward is legal
 	wm, st := a.Apply(m, concat(
 		s2.reset(),
-		s2.frame(FrameSet, "new1", "n1", 0),
+		s2.frame(core.BatchSet, "new1", "n1", 0),
 	))
 	if st != proto.StatusOK || wm != s2.seq {
 		t.Fatalf("bootstrap Apply = (%d, %d), want (%d, OK)", wm, st, s2.seq)
@@ -268,7 +269,7 @@ func TestApplierPromotionSurvivesRestart(t *testing.T) {
 		t.Fatalf("restarted epoch = %d, want 4", a2.Epoch())
 	}
 	s := newTestSender(9) // epoch 1 stream: the fenced old primary
-	if _, st := a2.Apply(m2, s.frame(FrameSet, "k", "v", 0)); st != proto.StatusFenced {
+	if _, st := a2.Apply(m2, s.frame(core.BatchSet, "k", "v", 0)); st != proto.StatusFenced {
 		t.Fatalf("stale stream after restart: status %d, want Fenced", st)
 	}
 }

@@ -75,6 +75,7 @@ type Shipper struct {
 	seq   uint64 // last assigned frame sequence
 	acked uint64 // replica's durable watermark
 	buf   []shipFrame
+	rec   []byte // enqueue's record scratch (sealed into each frame)
 
 	conn      *client.Client
 	down      bool
@@ -168,7 +169,7 @@ type tee struct {
 // when the local WAL dies (and the partition flags JournalLost) the
 // mutation still reaches the replica this shard will fail over to.
 func (t *tee) LogOp(m *sim.Meter, kind core.BatchKind, key, value []byte, delta int64) error {
-	t.s.enqueue(m, t.part, frameKind(kind), key, value, delta)
+	t.s.enqueue(m, t.part, core.BatchOp{Kind: kind, Key: key, Value: value, Delta: delta})
 	if t.inner == nil {
 		return nil
 	}
@@ -184,7 +185,7 @@ func (t *tee) Commit(m *sim.Meter) error { return t.s.commit(m) }
 
 // enqueue assigns the next sequence number, seals and chain-signs the
 // frame, and appends it to the unacked buffer.
-func (s *Shipper) enqueue(m *sim.Meter, part uint16, kind byte, key, value []byte, delta int64) {
+func (s *Shipper) enqueue(m *sim.Meter, part uint16, op core.BatchOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.fenced {
@@ -199,8 +200,8 @@ func (s *Shipper) enqueue(m *sim.Meter, part uint16, kind byte, key, value []byt
 		s.logf("repl: unacked buffer overflow, scheduling bootstrap")
 	}
 	s.seq++
-	rec := appendRecord(nil, kind, key, value, delta)
-	s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(m, s.enclave, s.chain, s.seq, s.opts.Epoch, part, rec)})
+	s.rec = core.AppendMutation(s.rec[:0], op)
+	s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(m, s.enclave, s.chain, s.seq, s.opts.Epoch, part, s.rec)})
 }
 
 // commit implements the group-commit barrier (see tee.Commit).
@@ -504,7 +505,7 @@ func (s *Shipper) Stats() ShipStats {
 // SetEpoch restamps the stream's fencing epoch — called when the node
 // owning this shipper is promoted (its writes now belong to the new
 // epoch) before the stream is retargeted at a fresh replica. Frames
-// sealed after SetEpoch carry the new epoch; the bootstrap's FrameReset
+// sealed after SetEpoch carry the new epoch; the bootstrap's reset frame
 // hands it to the replica.
 func (s *Shipper) SetEpoch(epoch uint64) {
 	s.mu.Lock()
@@ -518,7 +519,7 @@ func (s *Shipper) SetEpoch(epoch uint64) {
 func (s *Shipper) Meter() *sim.Meter { return s.meter }
 
 // bootstrapLoop is the background re-sync worker. It owns the three-phase
-// bootstrap: (1) under mu, restart the chain with a FrameReset; (2) per
+// bootstrap: (1) under mu, restart the chain with a reset frame; (2) per
 // partition, on that partition's own worker via RunCtl, snapshot every
 // live entry into Set frames — the worker is parked for exactly its own
 // partition's scan, so per-key mutation order is preserved and siblings
@@ -545,7 +546,7 @@ func (s *Shipper) bootstrapLoop() {
 		s.buf = s.buf[:0]
 		s.chain.reset()
 		s.seq++
-		s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(s.meter, s.enclave, s.chain, s.seq, s.opts.Epoch, 0, appendRecord(nil, FrameReset, nil, nil, 0))})
+		s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(s.meter, s.enclave, s.chain, s.seq, s.opts.Epoch, 0, nil)})
 		s.mu.Unlock()
 
 		for i := 0; i < s.p.Parts(); i++ {
@@ -557,7 +558,7 @@ func (s *Shipper) bootstrapLoop() {
 			part := uint16(i)
 			s.p.RunCtl(i, func(st *core.WorkerState) {
 				err := st.Store.ForEachDecrypt(s.meter, func(key, val []byte) error {
-					s.enqueue(s.meter, part, FrameSet, key, val, 0)
+					s.enqueue(s.meter, part, core.BatchOp{Kind: core.BatchSet, Key: key, Value: val})
 					return nil
 				})
 				if err != nil {
