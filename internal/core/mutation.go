@@ -10,6 +10,11 @@
 //
 // kind is the BatchKind. The payload is the value for a set, the suffix
 // for an append, the 8-byte delta for an incr and empty for a delete.
+//
+// A run is a sequence of records, each prefixed with its length, so one
+// sealed blob can carry a whole group commit's mutations in order:
+//
+//	{ recLen(4) | record }*
 package core
 
 import (
@@ -74,6 +79,44 @@ func DecodeMutation(rec []byte) (BatchOp, error) {
 		return BatchOp{}, fmt.Errorf("%w: kind %d", ErrBadMutation, op.Kind)
 	}
 	return op, nil
+}
+
+// runLenSize is the length prefix of each record in a run.
+const runLenSize = 4
+
+// AppendMutationRun appends op to the run in dst as recLen(4) | record.
+func AppendMutationRun(dst []byte, op BatchOp) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = AppendMutation(dst, op)
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-runLenSize))
+	return dst
+}
+
+// DecodeMutationRun appends the run's records to dst in run order. Every
+// length is checked, and one bad record fails the whole run: on error dst
+// comes back at its original length. The ops alias run.
+//
+//ss:attacker — runs come off a peer's link.
+func DecodeMutationRun(dst []BatchOp, run []byte) ([]BatchOp, error) {
+	base := len(dst)
+	for off := 0; off < len(run); {
+		if len(run)-off < runLenSize {
+			return dst[:base], fmt.Errorf("%w: %d-byte run tail", ErrBadMutation, len(run)-off)
+		}
+		n := binary.LittleEndian.Uint32(run[off:])
+		off += runLenSize
+		if uint64(n) > uint64(len(run)-off) {
+			return dst[:base], fmt.Errorf("%w: record length %d overruns run", ErrBadMutation, n)
+		}
+		op, err := DecodeMutation(run[off : off+int(n)])
+		if err != nil {
+			return dst[:base], fmt.Errorf("record %d: %w", len(dst)-base, err)
+		}
+		dst = append(dst, op)
+		off += int(n)
+	}
+	return dst, nil
 }
 
 // Exec runs one op through the store's per-op entry points: the single

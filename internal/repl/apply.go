@@ -1,16 +1,17 @@
 // The replica side of replication: the Applier verifies each frame's
-// chain MAC and sequence, unseals the record, replays it through its own
-// partition workers, and acks the highest contiguously applied sequence
-// (the watermark). Reads the replica serves before promotion are
-// therefore always a prefix of the primary's acknowledged history —
-// never a made-up state. Promotion (CmdPromote) seals a new fencing
-// epoch and flips the node writable; a recovered old primary shipping
-// frames at the stale epoch is rejected with StatusFenced.
+// chain MAC and sequence, unseals its run, replays the run through its
+// own partition workers as one batch, and acks the highest contiguously
+// applied sequence (the watermark). Reads the replica serves before
+// promotion are therefore always a prefix of the primary's acknowledged
+// history — never a made-up state. Promotion (CmdPromote) seals a new
+// fencing epoch and flips the node writable; a recovered old primary
+// shipping frames at the stale epoch is rejected with StatusFenced.
 package repl
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -59,6 +60,7 @@ type Applier struct {
 	promoted  bool
 	sinceSeal int
 	frameBuf  Frame
+	ops       []core.BatchOp // the current frame's decoded run
 }
 
 // NewApplier builds a replica apply engine over pool p. The pool's
@@ -142,7 +144,7 @@ func (a *Applier) Promote(epoch uint64) (uint64, uint8) {
 	return a.epoch, proto.StatusOK
 }
 
-// Apply verifies and applies one CmdReplicate payload (a run of frames)
+// Apply verifies and applies one CmdReplicate payload (a sequence of frames)
 // and returns the watermark plus a wire status:
 //
 //   - StatusOK: every frame applied (or was a known duplicate).
@@ -178,9 +180,9 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 		}
 		// A reset frame restarts the chain (genesis MAC, may jump the
 		// sequence forward); anything else must extend it in exact
-		// sequence order. What marks a reset (its empty record) is
-		// sealed, so classify by which verification succeeds:
-		// continuation first, genesis as the fallback.
+		// sequence order. What marks a reset (its empty run) is sealed,
+		// so classify by which verification succeeds: continuation
+		// first, genesis as the fallback.
 		model := a.enclave.Model()
 		isReset := false
 		if a.chain.check(m, model, body, tag) {
@@ -191,9 +193,6 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 			}
 		} else if a.chain.checkGenesis(m, model, body, tag) {
 			isReset = true
-			if f.Seq < a.nextSeq {
-				return a.nextSeq - 1, proto.StatusError
-			}
 		} else {
 			if f.Seq > a.nextSeq {
 				return a.nextSeq - 1, proto.StatusReplGap
@@ -201,14 +200,14 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 			a.logf("repl: apply: chain break at seq %d", f.Seq)
 			return a.nextSeq - 1, proto.StatusError
 		}
-		rec, err := a.enclave.Unseal(m, blob)
+		run, err := a.enclave.Unseal(m, blob)
 		if err != nil {
 			a.logf("repl: apply: unseal failed at seq %d: %v", f.Seq, err)
 			return a.nextSeq - 1, proto.StatusError
 		}
 		if isReset {
-			// A genesis-MAC'd frame must carry the empty reset record.
-			if len(rec) != 0 {
+			// A genesis-MAC'd frame must carry the empty reset run.
+			if len(run) != 0 {
 				return a.nextSeq - 1, proto.StatusError
 			}
 			if f.Epoch > a.epoch {
@@ -220,11 +219,16 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 			a.sealState()
 			continue
 		}
-		if f.Op, err = core.DecodeMutation(rec); err != nil {
-			a.logf("repl: apply: bad record at seq %d: %v", f.Seq, err)
+		// A chained frame must carry at least one record: only a reset
+		// is empty.
+		if len(run) == 0 {
 			return a.nextSeq - 1, proto.StatusError
 		}
-		if err := a.applyFrame(m, &f.Op); err != nil {
+		if a.ops, err = core.DecodeMutationRun(a.ops[:0], run); err != nil {
+			a.logf("repl: apply: bad run at seq %d: %v", f.Seq, err)
+			return a.nextSeq - 1, proto.StatusError
+		}
+		if err := a.applyRun(m); err != nil {
 			// The frame verified but the engine refused it (e.g. the target
 			// partition is mid-rebuild). Rewind the chain? No — the chain
 			// advanced, so a blind retry would fail verification. Force a
@@ -242,17 +246,19 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 	return a.nextSeq - 1, proto.StatusOK
 }
 
-// applyFrame replays one verified mutation through the partition worker
-// that owns its key — strictly sequentially, so a mid-payload failure
-// never leaves later frames applied before earlier ones.
-func (a *Applier) applyFrame(m *sim.Meter, op *core.BatchOp) error {
-	_, _, err := a.p.Submit(m, op.Kind, op.Key, op.Value, op.Delta).Wait()
-	if op.Kind == core.BatchDelete && errors.Is(err, core.ErrNotFound) {
+// applyRun replays one verified frame's run as one batch through the
+// partition workers. Each partition applies its records in run order, so
+// per-key order holds; frames still apply strictly one after another.
+func (a *Applier) applyRun(m *sim.Meter) error {
+	defer clear(a.ops) // drop references into the unsealed run
+	for i, r := range a.p.SubmitBatch(m, a.ops).Wait() {
 		// Deleting an absent key replays cleanly (e.g. after a bootstrap
 		// snapshot raced a delete the stream then repeats).
-		return nil
+		if r.Err != nil && !(a.ops[i].Kind == core.BatchDelete && errors.Is(r.Err, core.ErrNotFound)) {
+			return fmt.Errorf("record %d: %w", i, r.Err)
+		}
 	}
-	return err
+	return nil
 }
 
 // resetParts wipes every partition to an empty store with the same

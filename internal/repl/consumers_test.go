@@ -78,8 +78,9 @@ func checkAgainstModel(t *testing.T, who string, get func(key []byte) ([]byte, e
 
 // TestWALAndReplicaAnswerAlike runs one mutation script through both
 // consumers of the mutation record — the write-ahead log (journal, then
-// crash recovery) and the replication stream (frames into an applier) —
-// and requires both end states to equal the model key for key.
+// crash recovery) and the replication stream (runs of records sealed into
+// frames, applied as batches) — and requires both end states to equal the
+// model key for key.
 func TestWALAndReplicaAnswerAlike(t *testing.T) {
 	ops, model := mutationScript(38, 200)
 
@@ -111,18 +112,46 @@ func TestWALAndReplicaAnswerAlike(t *testing.T) {
 	checkAgainstModel(t, "wal", func(k []byte) ([]byte, error) { return recovered.Get(m, k) },
 		recovered.Keys(), model)
 
-	// Replication path: ship the same ops as frames, 25 to a payload.
+	// Replication path: ship the same ops as runs of seeded random size
+	// (1-64 records, a group commit's drain), so one frame holds same-key
+	// sets, appends, incrs and deletes in order; three frames to a payload.
 	s := newTestSender(13)
 	p, a, am := newTestApplier(t, 13, "")
+	rng := rand.New(rand.NewSource(49))
 	var payload []byte
-	for i, op := range ops {
-		payload = append(payload, s.frame(op.Kind, string(op.Key), string(op.Value), op.Delta)...)
-		if (i+1)%25 == 0 || i == len(ops)-1 {
-			if wm, st := a.Apply(am, payload); st != proto.StatusOK || wm != uint64(i+1) {
-				t.Fatalf("Apply through op %d = (%d, %d), want (%d, OK)", i, wm, st, i+1)
+	frames, mixed := 0, false
+	for i := 0; i < len(ops); {
+		run := ops[i:min(i+1+rng.Intn(64), len(ops))]
+		i += len(run)
+		mixed = mixed || mixesKinds(run)
+		payload = append(payload, s.run(run...)...)
+		frames++
+		if frames%3 == 0 || i == len(ops) {
+			if wm, st := a.Apply(am, payload); st != proto.StatusOK || wm != uint64(frames) {
+				t.Fatalf("Apply through frame %d = (%d, %d), want (%d, OK)", frames, wm, st, frames)
 			}
 			payload = payload[:0]
 		}
 	}
+	if !mixed {
+		t.Fatal("no frame carried a set, an append, an incr and a delete of one key")
+	}
 	checkAgainstModel(t, "replica", func(k []byte) ([]byte, error) { return p.Get(am, k) }, p.Keys(), model)
+}
+
+// mixesKinds reports whether run touches one key with all four mutation
+// kinds.
+func mixesKinds(run []core.BatchOp) bool {
+	kinds := map[string]map[core.BatchKind]bool{}
+	for _, op := range run {
+		k := string(op.Key)
+		if kinds[k] == nil {
+			kinds[k] = map[core.BatchKind]bool{}
+		}
+		kinds[k][op.Kind] = true
+		if len(kinds[k]) == 4 {
+			return true
+		}
+	}
+	return false
 }

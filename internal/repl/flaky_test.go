@@ -8,6 +8,7 @@ package repl
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,14 +110,21 @@ func loadKeys(t *testing.T, p *core.Partitioned, m *sim.Meter, prefix string, n 
 			}
 			expect[ctr] = fmt.Sprintf("%d", i)
 		case 4:
-			// Batched sets drain together, so their frames share one group
-			// commit — multi-frame payloads, which is what gives the
-			// reorder/dup faults adjacent frames to mangle.
-			ops := make([]core.BatchOp, 4)
-			for j := range ops {
+			// Three batched sets on one partition, each over half of
+			// maxRunBytes: the drain seals an early frame after the second
+			// record and its commit seals the third, so one commit ships a
+			// multi-frame payload — adjacent frames for the reorder/dup
+			// faults to mangle.
+			big := strings.Repeat(v, maxRunBytes/2/len(v)+1)
+			part := p.Route(m, []byte(k))
+			var ops []core.BatchOp
+			for j := 0; len(ops) < 3; j++ {
 				bk := fmt.Sprintf("%sb%04d-%d", prefix, i, j)
-				ops[j] = core.BatchOp{Kind: core.BatchSet, Key: []byte(bk), Value: []byte(v)}
-				expect[bk] = v
+				if p.Route(m, []byte(bk)) != part {
+					continue
+				}
+				ops = append(ops, core.BatchOp{Kind: core.BatchSet, Key: []byte(bk), Value: []byte(big)})
+				expect[bk] = big
 			}
 			for _, r := range p.SubmitBatch(m, ops).Wait() {
 				if r.Err != nil {
@@ -268,4 +276,54 @@ func TestShipperBuffersThroughReplicaOutage(t *testing.T) {
 	s.MigrateTo(rep2.addr, client.Options{})
 	waitSynced(t, s, rep2)
 	verifyReplica(t, rep2, expect)
+}
+
+// TestShipperSealsOneFramePerCommit: a 32-set batch drains as one group
+// commit per partition, and each commit seals its records as one frame,
+// so the stream assigns at most one sequence number per partition.
+func TestShipperSealsOneFramePerCommit(t *testing.T) {
+	rep := startReplicaNode(t, 63)
+	p, s, m := startPrimaryPool(t, 63, rep.addr, nil)
+
+	before := s.Stats().Assigned
+	ops := make([]core.BatchOp, 32)
+	expect := map[string]string{}
+	for i := range ops {
+		k, v := fmt.Sprintf("s%02d", i), fmt.Sprintf("v%02d", i)
+		ops[i] = core.BatchOp{Kind: core.BatchSet, Key: []byte(k), Value: []byte(v)}
+		expect[k] = v
+	}
+	for _, r := range p.SubmitBatch(m, ops).Wait() {
+		if r.Err != nil {
+			t.Fatalf("batch set: %v", r.Err)
+		}
+	}
+	if frames := s.Stats().Assigned - before; frames == 0 || frames > 2 {
+		t.Fatalf("32 sets on 2 partitions took %d frames, want 1 or 2", frames)
+	}
+	waitSynced(t, s, rep)
+	verifyReplica(t, rep, expect)
+}
+
+// TestBootstrapDropsPendingRun: the bootstrap's snapshot alone defines
+// the restarted stream. Records still on the pending run at the reset
+// were logged by drains whose mutations the stores already hold, so the
+// scan ships them; the reset drops the run. The record logged here is
+// one no store holds, so a reset that kept the run would leak it onto
+// the replica.
+func TestBootstrapDropsPendingRun(t *testing.T) {
+	rep := startReplicaNode(t, 65)
+	p, s, m := startPrimaryPool(t, 65, rep.addr, nil)
+	expect := loadKeys(t, p, m, "r", 20)
+	waitSynced(t, s, rep)
+
+	s.logOp(m, core.BatchOp{Kind: core.BatchSet, Key: []byte("ghost"), Value: []byte("x")})
+	if s.Synced() {
+		t.Fatal("Synced with a record on the pending run")
+	}
+	s.mu.Lock()
+	s.scheduleBootstrapLocked("test re-sync")
+	s.mu.Unlock()
+	waitSynced(t, s, rep)
+	verifyReplica(t, rep, expect)
 }

@@ -1,27 +1,30 @@
 // Package repl implements primary/replica shard replication by journal
 // shipping (DESIGN.md §15). The primary tees every journaled mutation
-// into a Shipper, which encodes it as a sealed, MAC-chained, monotonically
-// sequenced frame and ships batches of frames over the wire protocol's
-// CmdReplicate command; the replica's Applier verifies the chain, unseals
-// each record, replays it through its own partition workers and acks a
-// durable watermark. Because the primary's group commit (core.GroupJournal)
-// runs before any client acknowledgement, a client ack implies the replica
-// has acked the mutation — the invariant failover correctness rests on.
+// into a Shipper, which appends it to a pending run of records; each
+// group commit seals that run as one frame — one seal, one chain MAC, one
+// sequence number — and ships batches of frames over the wire protocol's
+// CmdReplicate command. The replica's Applier verifies the chain, unseals
+// each frame once, replays its run through its own partition workers as
+// one batch and acks a durable watermark. Because the primary's group
+// commit (core.GroupJournal) runs before any client acknowledgement, a
+// client ack implies the replica has acked the mutation — the invariant
+// failover correctness rests on.
 //
 // Frame layout (all integers little-endian):
 //
-//	seq(8) | epoch(8) | part(2) | blobLen(4) | blob | mac(16)
+//	seq(8) | epoch(8) | blobLen(4) | blob | mac(16)
 //
-// blob is the sealed (enclave AES-GCM) record — the mutation's plaintext
+// blob is the sealed (enclave AES-GCM) run — the mutations' plaintext
 // never crosses the link in the clear — and mac is an AES-CMAC chained
 // over the previous frame's mac, the header and the blob, so dropped,
 // duplicated, reordered or spliced frames are detected before anything is
-// applied. The sealed record is the core.AppendMutation record, the same
-// one the write-ahead log seals. A frame whose sealed record is empty is
-// a reset, the chain genesis: it is MAC'd against a zero previous tag and
-// instructs the replica to wipe its partitions and restart the chain at
-// the reset's sequence — the first frame of every bootstrap snapshot
-// stream.
+// applied. The run is core.AppendMutationRun's { recLen(4) | record }*,
+// each record the core.AppendMutation record the write-ahead log seals.
+// A frame whose sealed run is empty is a reset, the chain genesis: it is
+// MAC'd against a zero previous tag and instructs the replica to wipe its
+// partitions and restart the chain at the reset's sequence — the first
+// frame of every bootstrap snapshot stream. A chained frame must carry at
+// least one record.
 package repl
 
 import (
@@ -29,14 +32,13 @@ import (
 	"errors"
 
 	"shieldstore/internal/cmac"
-	"shieldstore/internal/core"
 	"shieldstore/internal/secret"
 	"shieldstore/internal/sgx"
 	"shieldstore/internal/sim"
 )
 
-// frameHdr is the fixed outer header: seq(8)+epoch(8)+part(2)+blobLen(4).
-const frameHdr = 22
+// frameHdr is the fixed outer header: seq(8)+epoch(8)+blobLen(4).
+const frameHdr = 20
 
 // frameOverhead is the per-frame framing cost beyond the sealed blob.
 const frameOverhead = frameHdr + cmac.Size
@@ -52,13 +54,10 @@ var ErrFrameCorrupt = errors.New("repl: replication frame corrupt")
 // chain — evidence of tampering, splicing or a desynced stream.
 var ErrChainBroken = errors.New("repl: frame MAC chain broken")
 
-// Frame is one decoded replication frame. Op's Key and Value alias the
-// unsealed record and are only valid until the next decode.
+// Frame is one decoded replication frame header.
 type Frame struct {
 	Seq   uint64
 	Epoch uint64
-	Part  uint16
-	Op    core.BatchOp
 }
 
 // chainState is the sealed per-stream MAC-chain state: the chain key
@@ -79,7 +78,10 @@ type chainState struct {
 }
 
 // chainLabel is the key-derivation label for the replication MAC chain.
-const chainLabel = "repl-chain-v1"
+// Its version is the frame format's: a peer built for another layout
+// derives another key, so its frames fail the chain check and are
+// refused instead of misparsed. v2 carries runs and drops the part field.
+const chainLabel = "repl-chain-v2"
 
 // newChain derives the replication chain key from the enclave's sealing
 // identity and starts the chain at the zero tag (genesis).
@@ -175,8 +177,7 @@ func decodeFrame(f *Frame, buf []byte) (n int, body, blob, tag []byte, err error
 	}
 	f.Seq = binary.LittleEndian.Uint64(buf[0:8])
 	f.Epoch = binary.LittleEndian.Uint64(buf[8:16])
-	f.Part = binary.LittleEndian.Uint16(buf[16:18])
-	bl := int(binary.LittleEndian.Uint32(buf[18:22]))
+	bl := int(binary.LittleEndian.Uint32(buf[16:20]))
 	if bl < 0 || bl > maxBlob || bl > len(buf)-frameOverhead {
 		return 0, nil, nil, nil, ErrFrameCorrupt
 	}
@@ -187,18 +188,17 @@ func decodeFrame(f *Frame, buf []byte) (n int, body, blob, tag []byte, err error
 	return n, body, blob, tag, nil
 }
 
-// encodeFrame seals the record plaintext, assembles the outer frame and
+// encodeFrame seals the run plaintext, assembles the outer frame and
 // extends the MAC chain over it, returning the complete wire bytes.
 // Sealing and MAC costs accrue to m.
 //
 //ss:seals(emits sealed blob + chain MAC only; advances the trusted chain tag through chainState.next)
-func encodeFrame(m *sim.Meter, e *sgx.Enclave, chain *chainState, seq, epoch uint64, part uint16, rec []byte) []byte {
-	blob := e.Seal(m, rec)
+func encodeFrame(m *sim.Meter, e *sgx.Enclave, chain *chainState, seq, epoch uint64, run []byte) []byte {
+	blob := e.Seal(m, run)
 	out := make([]byte, frameHdr, frameHdr+len(blob)+cmac.Size)
 	binary.LittleEndian.PutUint64(out[0:8], seq)
 	binary.LittleEndian.PutUint64(out[8:16], epoch)
-	binary.LittleEndian.PutUint16(out[16:18], part)
-	binary.LittleEndian.PutUint32(out[18:22], uint32(len(blob)))
+	binary.LittleEndian.PutUint32(out[16:20], uint32(len(blob)))
 	out = append(out, blob...)
 	tag := chain.extend(m, e.Model(), out)
 	return append(out, tag[:]...)

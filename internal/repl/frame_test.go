@@ -21,20 +21,38 @@ func testEnclave(seed uint64) *sgx.Enclave {
 	return sgx.New(sgx.Config{Space: space, Seed: seed})
 }
 
-// encodeStream encodes a fixed little mutation stream (seq 1..4) on a
-// fresh chain and returns the concatenated wire bytes plus the frame
-// boundaries.
+// streamRuns is a fixed little mutation stream, one run per frame.
+func streamRuns() [][]core.BatchOp {
+	return [][]core.BatchOp{
+		{
+			{Kind: core.BatchSet, Key: []byte("alpha"), Value: []byte("one")},
+			{Kind: core.BatchAppend, Key: []byte("alpha"), Value: []byte("-more")},
+		},
+		{{Kind: core.BatchIncr, Key: []byte("counter"), Delta: 41}},
+		{
+			{Kind: core.BatchDelete, Key: []byte("alpha")},
+			{Kind: core.BatchSet, Key: []byte("beta"), Value: []byte("two")},
+			{Kind: core.BatchIncr, Key: []byte("counter"), Delta: 1},
+		},
+		{{Kind: core.BatchDelete, Key: []byte("beta")}},
+	}
+}
+
+// appendRun encodes ops as one run.
+func appendRun(dst []byte, ops ...core.BatchOp) []byte {
+	for _, op := range ops {
+		dst = core.AppendMutationRun(dst, op)
+	}
+	return dst
+}
+
+// encodeStream encodes streamRuns (seq 1..4) on a fresh chain and returns
+// the concatenated wire bytes plus the frame boundaries.
 func encodeStream(e *sgx.Enclave) (stream []byte, bounds []int) {
 	m := sim.NewMeter(e.Model())
 	chain := newChain(e)
-	ops := []core.BatchOp{
-		{Kind: core.BatchSet, Key: []byte("alpha"), Value: []byte("one")},
-		{Kind: core.BatchAppend, Key: []byte("alpha"), Value: []byte("-more")},
-		{Kind: core.BatchIncr, Key: []byte("counter"), Delta: 41},
-		{Kind: core.BatchDelete, Key: []byte("alpha")},
-	}
-	for i, op := range ops {
-		f := encodeFrame(m, e, chain, uint64(i+1), 1, uint16(i%2), core.AppendMutation(nil, op))
+	for i, run := range streamRuns() {
+		f := encodeFrame(m, e, chain, uint64(i+1), 1, appendRun(nil, run...))
 		stream = append(stream, f...)
 		bounds = append(bounds, len(stream))
 	}
@@ -54,8 +72,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	chain := newChain(receiver)
 	model := receiver.Model()
 
-	wantKeys := []string{"alpha", "alpha", "counter", "alpha"}
-	wantKinds := []core.BatchKind{core.BatchSet, core.BatchAppend, core.BatchIncr, core.BatchDelete}
+	runs := streamRuns()
 	off, idx := 0, 0
 	var f Frame
 	for off < len(stream) {
@@ -66,21 +83,26 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !chain.check(m, model, body, tag) {
 			t.Fatalf("frame %d: chain verification failed", idx)
 		}
-		rec, err := receiver.Unseal(m, blob)
+		run, err := receiver.Unseal(m, blob)
 		if err != nil {
 			t.Fatalf("frame %d: unseal: %v", idx, err)
 		}
-		if f.Op, err = core.DecodeMutation(rec); err != nil {
-			t.Fatalf("frame %d: record: %v", idx, err)
+		ops, err := core.DecodeMutationRun(nil, run)
+		if err != nil {
+			t.Fatalf("frame %d: run: %v", idx, err)
 		}
 		if f.Seq != uint64(idx+1) || f.Epoch != 1 {
 			t.Fatalf("frame %d: seq=%d epoch=%d", idx, f.Seq, f.Epoch)
 		}
-		if f.Op.Kind != wantKinds[idx] || !bytes.Equal(f.Op.Key, []byte(wantKeys[idx])) {
-			t.Fatalf("frame %d: kind=%d key=%q", idx, f.Op.Kind, f.Op.Key)
+		want := runs[idx]
+		if len(ops) != len(want) {
+			t.Fatalf("frame %d: %d records, want %d", idx, len(ops), len(want))
 		}
-		if f.Op.Kind == core.BatchIncr && f.Op.Delta != 41 {
-			t.Fatalf("incr delta = %d", f.Op.Delta)
+		for j, op := range ops {
+			w := want[j]
+			if op.Kind != w.Kind || !bytes.Equal(op.Key, w.Key) || !bytes.Equal(op.Value, w.Value) || op.Delta != w.Delta {
+				t.Fatalf("frame %d record %d: %+v, want %+v", idx, j, op, w)
+			}
 		}
 		off += n
 		idx++
@@ -100,9 +122,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameTamperEveryByte flips every single byte of a two-frame stream
+// TestFrameTamperEveryByte flips every single byte of a four-frame stream
 // in turn; no flipped stream may survive decode + chain verification +
-// unseal on both frames.
+// unseal on every frame.
 func TestFrameTamperEveryByte(t *testing.T) {
 	e := testEnclave(7)
 	stream, _ := encodeStream(e)
@@ -121,11 +143,11 @@ func TestFrameTamperEveryByte(t *testing.T) {
 			if !chain.check(m, model, body, tag) {
 				return false
 			}
-			rec, err := e.Unseal(m, blob)
+			run, err := e.Unseal(m, blob)
 			if err != nil {
 				return false
 			}
-			if _, err := core.DecodeMutation(rec); err != nil {
+			if _, err := core.DecodeMutationRun(nil, run); err != nil {
 				return false
 			}
 			off += n
@@ -183,8 +205,8 @@ func TestTornStreamEveryOffset(t *testing.T) {
 // FuzzReplFrameDecode throws arbitrary bytes at the frame layer: the
 // outer decoder and unseal may reject, they must never panic or read out
 // of bounds, and accepted frames must be internally consistent. The
-// sealed record inside is core's mutation record, fuzzed there
-// (FuzzMutationRecord).
+// sealed run inside is core's mutation run, fuzzed there
+// (FuzzMutationRun, FuzzMutationRecord).
 func FuzzReplFrameDecode(f *testing.F) {
 	e := testEnclave(7)
 	stream, bounds := encodeStream(e)

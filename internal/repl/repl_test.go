@@ -6,8 +6,10 @@
 package repl
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"shieldstore/internal/cmac"
 	"shieldstore/internal/core"
 	"shieldstore/internal/proto"
 	"shieldstore/internal/sgx"
@@ -28,17 +30,22 @@ func newTestSender(seed uint64) *testSender {
 	return &testSender{e: e, m: sim.NewMeter(e.Model()), chain: newChain(e), epoch: 1}
 }
 
+// frame encodes a one-record frame.
 func (s *testSender) frame(kind core.BatchKind, key, val string, delta int64) []byte {
+	return s.run(core.BatchOp{Kind: kind, Key: []byte(key), Value: []byte(val), Delta: delta})
+}
+
+// run encodes ops as one frame, as a shipper seals one group commit.
+func (s *testSender) run(ops ...core.BatchOp) []byte {
 	s.seq++
-	op := core.BatchOp{Kind: kind, Key: []byte(key), Value: []byte(val), Delta: delta}
-	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, 0, core.AppendMutation(nil, op))
+	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, appendRun(nil, ops...))
 }
 
 // reset restarts the chain at genesis, as a bootstrapping shipper does.
 func (s *testSender) reset() []byte {
 	s.chain.reset()
 	s.seq++
-	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, 0, nil)
+	return encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, nil)
 }
 
 func concat(frames ...[]byte) []byte {
@@ -271,5 +278,82 @@ func TestApplierPromotionSurvivesRestart(t *testing.T) {
 	s := newTestSender(9) // epoch 1 stream: the fenced old primary
 	if _, st := a2.Apply(m2, s.frame(core.BatchSet, "k", "v", 0)); st != proto.StatusFenced {
 		t.Fatalf("stale stream after restart: status %d, want Fenced", st)
+	}
+}
+
+// v1Frame encodes a frame of the previous format: one bare record per
+// frame, a part(2) header field, and a chain under "repl-chain-v1".
+func v1Frame(m *sim.Meter, e *sgx.Enclave, chain *chainState, seq uint64, rec []byte) []byte {
+	blob := e.Seal(m, rec)
+	out := make([]byte, 22, 22+len(blob)+cmac.Size)
+	binary.LittleEndian.PutUint64(out[0:8], seq)
+	binary.LittleEndian.PutUint64(out[8:16], 1)
+	binary.LittleEndian.PutUint16(out[16:18], 0)
+	binary.LittleEndian.PutUint32(out[18:22], uint32(len(blob)))
+	out = append(out, blob...)
+	tag := chain.extend(m, e.Model(), out)
+	return append(out, tag[:]...)
+}
+
+// TestApplierRefusesV1Stream: a peer built for the previous frame format
+// is refused with StatusError, and nothing it sends is applied. Its own
+// layout fails to decode, and a stream in the current layout under its
+// chain key ("repl-chain-v1") fails the chain check, bootstrap reset
+// included — so its records are never misparsed.
+func TestApplierRefusesV1Stream(t *testing.T) {
+	e := testEnclave(9)
+	m := sim.NewMeter(e.Model())
+	key := e.DeriveKey("repl-chain-v1")
+	mac, err := cmac.New(key.Bytes()[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := &chainState{mac: mac, key: key}
+	t.Cleanup(v1.release)
+	op := core.BatchOp{Kind: core.BatchSet, Key: []byte("k"), Value: []byte("v")}
+	set := core.AppendMutation(nil, op)
+
+	streams := map[string][]byte{}
+	streams["v1 layout bootstrap"] = concat(v1Frame(m, e, v1, 1, nil), v1Frame(m, e, v1, 2, set))
+	v1.reset()
+	streams["v1 layout chained"] = v1Frame(m, e, v1, 1, set)
+	v1.reset()
+	streams["v1 key bootstrap"] = concat(encodeFrame(m, e, v1, 1, 1, nil), encodeFrame(m, e, v1, 2, 1, appendRun(nil, op)))
+	v1.reset()
+	streams["v1 key chained"] = encodeFrame(m, e, v1, 1, 1, appendRun(nil, op))
+	for name, payload := range streams {
+		p, a, am := newTestApplier(t, 9, "")
+		if wm, st := a.Apply(am, payload); st != proto.StatusError || wm != 0 {
+			t.Fatalf("%s: Apply = (%d, %d), want (0, Error)", name, wm, st)
+		}
+		if _, err := p.Get(am, []byte("k")); err != core.ErrNotFound {
+			t.Fatalf("%s: record applied: %v", name, err)
+		}
+		if got := am.Events(sim.CtrReplApplied); got != 0 {
+			t.Fatalf("%s: CtrReplApplied = %d, want 0", name, got)
+		}
+	}
+}
+
+// TestApplierRejectsBadRuns: a chained frame must carry at least one
+// record (only a reset is empty), and a run with one malformed record is
+// refused whole — none of its records apply.
+func TestApplierRejectsBadRuns(t *testing.T) {
+	s := newTestSender(9)
+	p, a, m := newTestApplier(t, 9, "")
+	if wm, st := a.Apply(m, s.run()); st != proto.StatusError || wm != 0 {
+		t.Fatalf("empty chained run: Apply = (%d, %d), want (0, Error)", wm, st)
+	}
+
+	s = newTestSender(9)
+	p, a, m = newTestApplier(t, 9, "")
+	good := appendRun(nil, core.BatchOp{Kind: core.BatchSet, Key: []byte("k"), Value: []byte("v")})
+	bad := append(good, 1, 0, 0, 0, byte(core.BatchGet))
+	s.seq++
+	if wm, st := a.Apply(m, encodeFrame(s.m, s.e, s.chain, s.seq, s.epoch, bad)); st != proto.StatusError || wm != 0 {
+		t.Fatalf("malformed run: Apply = (%d, %d), want (0, Error)", wm, st)
+	}
+	if _, err := p.Get(m, []byte("k")); err != core.ErrNotFound {
+		t.Fatalf("record of a refused run applied: %v", err)
 	}
 }

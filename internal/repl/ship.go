@@ -1,7 +1,8 @@
 // The primary side of replication: the Shipper tees every journaled
-// mutation into a sealed, MAC-chained frame stream and ships it to the
-// replica inside the worker pool's group commit — before any client
-// acknowledgement — so a client ack always implies a replica ack.
+// mutation into a pending run, seals each group commit's run as one
+// MAC-chained frame and ships the stream to the replica inside the worker
+// pool's group commit — before any client acknowledgement — so a client
+// ack always implies a replica ack.
 package repl
 
 import (
@@ -31,9 +32,11 @@ type ShipperOptions struct {
 	// StatusFenced and the shipper latches Fenced.
 	Epoch uint64
 	// MaxBuffer bounds how many frames may sit unacked while the replica
-	// link is down (default 65536). Overflow abandons the buffered tail
-	// and schedules a full bootstrap instead — acked writes are still
-	// safe on the primary; the replica just re-syncs from a snapshot.
+	// link is down (default 65536). A frame is one group commit's worth of
+	// records (at most maxRunBytes of them). Overflow abandons the
+	// buffered tail and schedules a full bootstrap instead — acked writes
+	// are still safe on the primary; the replica just re-syncs from a
+	// snapshot.
 	MaxBuffer int
 	// MaxBatchBytes bounds one CmdReplicate payload (default 1 MiB).
 	MaxBatchBytes int
@@ -48,6 +51,11 @@ type ShipperOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// maxRunBytes is the size at which a pending run is sealed before its
+// commit, bounding one frame — and the replica's apply batch — well under
+// MaxBatchBytes.
+const maxRunBytes = 64 << 10
+
 // shipFrame is one encoded, unacked frame in the shipper's buffer.
 type shipFrame struct {
 	seq  uint64
@@ -57,9 +65,10 @@ type shipFrame struct {
 // Shipper is the primary-side replication engine. Create one per shard
 // (NewShipper), wrap every partition journal with Tee (or
 // persist.HealerOptions.WrapJournal), Start it, and the worker pool's
-// group commit does the rest: enqueue on journal, flush+ack on Commit.
+// group commit does the rest: append to the pending run on journal, seal
+// it and flush+ack on Commit.
 //
-// All mutable state is under mu; partition workers (enqueue/Commit) and
+// All mutable state is under mu; partition workers (logOp/Commit) and
 // the bootstrap goroutine serialize on it. Commit holds mu across the
 // network flush — the price of the group-commit guarantee — so a wedged
 // replica link stalls that partition's acknowledgements rather than
@@ -75,7 +84,11 @@ type Shipper struct {
 	seq   uint64 // last assigned frame sequence
 	acked uint64 // replica's durable watermark
 	buf   []shipFrame
-	rec   []byte // enqueue's record scratch (sealed into each frame)
+	// pending is the open run: records logged since the last seal, from
+	// every partition, in log order. A record logged through a journal
+	// detached mid-drain still ships with the next commit on any
+	// partition.
+	pending []byte
 
 	conn      *client.Client
 	down      bool
@@ -150,45 +163,59 @@ func (s *Shipper) Close() {
 }
 
 // Tee wraps a partition's journal so every logged mutation is also
-// enqueued as a replication frame, and the worker's group commit flushes
-// and waits for the replica's ack. inner may be nil (replication without
-// local durability).
+// appended to the replication run, and the worker's group commit seals,
+// flushes and waits for the replica's ack. inner may be nil (replication
+// without local durability). part is unused: the run is shared by every
+// partition.
 func (s *Shipper) Tee(part int, inner core.Journal) core.GroupJournal {
-	return &tee{s: s, part: uint16(part), inner: inner}
+	return &tee{s: s, inner: inner}
 }
 
 // tee is the per-partition core.GroupJournal adapter.
 type tee struct {
 	s     *Shipper
-	part  uint16
 	inner core.Journal
 }
 
-// LogOp enqueues the mutation's replication frame, then forwards to the
-// wrapped journal. The frame is enqueued first — it cannot fail — so even
-// when the local WAL dies (and the partition flags JournalLost) the
+// LogOp appends the mutation to the pending run, then forwards to the
+// wrapped journal. The record is appended first — it cannot fail — so
+// even when the local WAL dies (and the partition flags JournalLost) the
 // mutation still reaches the replica this shard will fail over to.
 func (t *tee) LogOp(m *sim.Meter, kind core.BatchKind, key, value []byte, delta int64) error {
-	t.s.enqueue(m, t.part, core.BatchOp{Kind: kind, Key: key, Value: value, Delta: delta})
+	t.s.logOp(m, core.BatchOp{Kind: kind, Key: key, Value: value, Delta: delta})
 	if t.inner == nil {
 		return nil
 	}
 	return t.inner.LogOp(m, kind, key, value, delta)
 }
 
-// Commit is the group-commit barrier: flush every buffered frame and
-// return only once the replica acked them (or the failure was absorbed
-// into a buffered/bootstrap state that keeps the single-failure
-// guarantee). A Fenced shipper fails the commit — the mutations of this
-// drain are retracted, because a promoted replica will never count them.
+// Commit is the group-commit barrier: seal the pending run, flush every
+// buffered frame and return only once the replica acked them (or the
+// failure was absorbed into a buffered/bootstrap state that keeps the
+// single-failure guarantee). A Fenced shipper fails the commit — the
+// mutations of this drain are retracted, because a promoted replica will
+// never count them.
 func (t *tee) Commit(m *sim.Meter) error { return t.s.commit(m) }
 
-// enqueue assigns the next sequence number, seals and chain-signs the
-// frame, and appends it to the unacked buffer.
-func (s *Shipper) enqueue(m *sim.Meter, part uint16, op core.BatchOp) {
+// logOp appends op to the pending run, sealing the run early once it
+// reaches maxRunBytes.
+func (s *Shipper) logOp(m *sim.Meter, op core.BatchOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.fenced {
+		return
+	}
+	s.pending = core.AppendMutationRun(s.pending, op)
+	if len(s.pending) >= maxRunBytes {
+		s.sealLocked(m)
+	}
+}
+
+// sealLocked assigns the next sequence number, seals and chain-signs the
+// pending run as one frame, and appends it to the unacked buffer. An
+// empty run seals nothing: that frame would be a reset. Caller holds mu.
+func (s *Shipper) sealLocked(m *sim.Meter) {
+	if len(s.pending) == 0 {
 		return
 	}
 	// While the link is down and no bootstrap is running, a full buffer
@@ -200,8 +227,8 @@ func (s *Shipper) enqueue(m *sim.Meter, part uint16, op core.BatchOp) {
 		s.logf("repl: unacked buffer overflow, scheduling bootstrap")
 	}
 	s.seq++
-	s.rec = core.AppendMutation(s.rec[:0], op)
-	s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(m, s.enclave, s.chain, s.seq, s.opts.Epoch, part, s.rec)})
+	s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(m, s.enclave, s.chain, s.seq, s.opts.Epoch, s.pending)})
+	s.pending = s.pending[:0]
 }
 
 // commit implements the group-commit barrier (see tee.Commit).
@@ -214,6 +241,7 @@ func (s *Shipper) commit(m *sim.Meter) error {
 	if s.fenced {
 		return core.ErrFenced
 	}
+	s.sealLocked(m)
 	if s.needsBootstrap || s.bootstrapping {
 		s.wake()
 		return nil
@@ -440,12 +468,17 @@ func (s *Shipper) MigrateTo(addr string, link client.Options) {
 	s.scheduleBootstrapLocked("migration target " + addr)
 }
 
-// Synced reports whether the replica has acked every frame the shipper
-// ever assembled: no bootstrap pending or running, link up, buffer empty.
+// Synced reports whether the replica has acked every record the shipper
+// was ever handed: no bootstrap pending or running, link up, buffer and
+// pending run empty.
 func (s *Shipper) Synced() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.needsBootstrap && !s.bootstrapping && !s.down && !s.fenced && len(s.buf) == 0
+	return s.syncedLocked()
+}
+
+func (s *Shipper) syncedLocked() bool {
+	return !s.needsBootstrap && !s.bootstrapping && !s.down && !s.fenced && len(s.buf) == 0 && len(s.pending) == 0
 }
 
 // Fenced reports whether a promoted replica has fenced this primary out.
@@ -495,7 +528,7 @@ func (s *Shipper) Stats() ShipStats {
 	return ShipStats{
 		Acked:         s.acked,
 		Assigned:      s.seq,
-		Synced:        !s.needsBootstrap && !s.bootstrapping && !s.down && !s.fenced && len(s.buf) == 0,
+		Synced:        s.syncedLocked(),
 		Fenced:        s.fenced,
 		Down:          s.down,
 		Bootstrapping: s.needsBootstrap || s.bootstrapping,
@@ -519,15 +552,16 @@ func (s *Shipper) SetEpoch(epoch uint64) {
 func (s *Shipper) Meter() *sim.Meter { return s.meter }
 
 // bootstrapLoop is the background re-sync worker. It owns the three-phase
-// bootstrap: (1) under mu, restart the chain with a reset frame; (2) per
-// partition, on that partition's own worker via RunCtl, snapshot every
-// live entry into Set frames — the worker is parked for exactly its own
+// bootstrap: (1) under mu, drop the unshipped frames and the pending run
+// and restart the chain with a reset frame; (2) per partition, on that
+// partition's own worker via RunCtl, snapshot every live entry into Set
+// records on the shared run — the worker is parked for exactly its own
 // partition's scan, so per-key mutation order is preserved and siblings
-// keep serving; (3) flush everything and hand the stream back to the
-// commit path. Runs on its own goroutine: a Commit that finds bootstrap
-// pending just pokes this loop and returns (a bounded degraded window),
-// because snapshotting from inside a worker's commit would deadlock the
-// pool.
+// keep serving; (3) seal the run, flush everything and hand the stream
+// back to the commit path. Runs on its own goroutine: a Commit that finds
+// bootstrap pending just pokes this loop and returns (a bounded degraded
+// window), because snapshotting from inside a worker's commit would
+// deadlock the pool.
 func (s *Shipper) bootstrapLoop() {
 	defer close(s.done)
 	for {
@@ -544,9 +578,10 @@ func (s *Shipper) bootstrapLoop() {
 		s.needsBootstrap = false
 		s.bootstrapping = true
 		s.buf = s.buf[:0]
+		s.pending = s.pending[:0]
 		s.chain.reset()
 		s.seq++
-		s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(s.meter, s.enclave, s.chain, s.seq, s.opts.Epoch, 0, nil)})
+		s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(s.meter, s.enclave, s.chain, s.seq, s.opts.Epoch, nil)})
 		s.mu.Unlock()
 
 		for i := 0; i < s.p.Parts(); i++ {
@@ -555,10 +590,9 @@ func (s *Shipper) bootstrapLoop() {
 				return
 			default:
 			}
-			part := uint16(i)
 			s.p.RunCtl(i, func(st *core.WorkerState) {
 				err := st.Store.ForEachDecrypt(s.meter, func(key, val []byte) error {
-					s.enqueue(s.meter, part, core.BatchOp{Kind: core.BatchSet, Key: key, Value: val})
+					s.logOp(s.meter, core.BatchOp{Kind: core.BatchSet, Key: key, Value: val})
 					return nil
 				})
 				if err != nil {
@@ -572,6 +606,7 @@ func (s *Shipper) bootstrapLoop() {
 		s.mu.Lock()
 		s.bootstrapping = false
 		if !s.closed && !s.needsBootstrap {
+			s.sealLocked(s.meter)
 			if err := s.flushLocked(s.meter); err != nil {
 				s.logf("repl: bootstrap flush: %v", err)
 			}
