@@ -10,6 +10,7 @@ package ctl_test
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -275,6 +276,11 @@ func TestNodeStatsOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer direct.Close()
+	// One acked write: its frame reached the replica in a payload the
+	// sender paid for.
+	if err := direct.Set([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
 	lines, err := direct.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -283,9 +289,15 @@ func TestNodeStatsOnWire(t *testing.T) {
 	if kv["repl_role"] != "primary" {
 		t.Fatalf("primary repl_role = %q; stats %v", kv["repl_role"], lines)
 	}
-	for _, want := range []string{"repl_epoch", "repl_acked", "repl_assigned", "repl_lag", "repl_synced", "repl_fenced", "repl_bootstrapping"} {
+	for _, want := range []string{"repl_epoch", "repl_acked", "repl_assigned", "repl_lag", "repl_synced", "repl_fenced", "repl_bootstrapping",
+		"repl_payloads", "repl_send_cycles"} {
 		if _, ok := kv[want]; !ok {
 			t.Fatalf("primary stats missing %s: %v", want, lines)
+		}
+	}
+	for _, name := range []string{"repl_payloads", "repl_send_cycles"} {
+		if n, err := strconv.ParseUint(kv[name], 10, 64); err != nil || n == 0 {
+			t.Fatalf("%s = %q after an acked write, want a positive count", name, kv[name])
 		}
 	}
 

@@ -182,21 +182,19 @@ func (a *Applier) Apply(m *sim.Meter, payload []byte) (uint64, uint8) {
 		// sequence forward); anything else must extend it in exact
 		// sequence order. What marks a reset (its empty run) is sealed,
 		// so classify by which verification succeeds: continuation
-		// first, genesis as the fallback.
+		// first — only at nextSeq, so a frame out of sequence never
+		// advances the chain — and genesis as the fallback. Genesis is
+		// not the zero tag a fresh chain starts at, so no frame verifies
+		// both ways.
 		model := a.enclave.Model()
 		isReset := false
-		if a.chain.check(m, model, body, tag) {
-			if f.Seq != a.nextSeq {
-				// Chain-contiguous but sequence-discontiguous is impossible
-				// for an honest stream (seq is MAC'd); treat as corrupt.
-				return a.nextSeq - 1, proto.StatusError
-			}
-		} else if a.chain.checkGenesis(m, model, body, tag) {
+		switch {
+		case f.Seq == a.nextSeq && a.chain.check(m, model, body, tag):
+		case a.chain.checkGenesis(m, model, body, tag):
 			isReset = true
-		} else {
-			if f.Seq > a.nextSeq {
-				return a.nextSeq - 1, proto.StatusReplGap
-			}
+		case f.Seq > a.nextSeq:
+			return a.nextSeq - 1, proto.StatusReplGap
+		default:
 			a.logf("repl: apply: chain break at seq %d", f.Seq)
 			return a.nextSeq - 1, proto.StatusError
 		}

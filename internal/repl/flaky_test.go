@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,6 +30,16 @@ type replicaNode struct {
 
 func startReplicaNode(t *testing.T, seed uint64) *replicaNode {
 	t.Helper()
+	return startReplicaNodeWith(t, seed, nil)
+}
+
+// replicateFn is the server's Replicate hook.
+type replicateFn = func(m *sim.Meter, payload []byte) (uint64, uint8)
+
+// startReplicaNodeWith is startReplicaNode with the applier's Replicate
+// hook passed through wrap (nil: unwrapped).
+func startReplicaNodeWith(t *testing.T, seed uint64, wrap func(replicateFn) replicateFn) *replicaNode {
+	t.Helper()
 	e := testEnclave(seed)
 	p := core.NewPartitioned(e, 2, core.Defaults(64))
 	a, err := NewApplier(p, ApplierOptions{Logf: t.Logf})
@@ -41,12 +52,16 @@ func startReplicaNode(t *testing.T, seed uint64) *replicaNode {
 	if err != nil {
 		t.Fatal(err)
 	}
+	replicate := a.Apply
+	if wrap != nil {
+		replicate = wrap(replicate)
+	}
 	srv := server.Serve(ln, server.Config{
 		Engine:       server.CoreEngine{P: p},
 		Enclave:      e,
 		Logf:         t.Logf,
 		DrainTimeout: 100 * time.Millisecond,
-		Replicate:    a.Apply,
+		Replicate:    replicate,
 		Promote:      a.Promote,
 		Writable:     a.Writable,
 	})
@@ -162,13 +177,6 @@ func waitSynced(t *testing.T, s *Shipper, rep *replicaNode) {
 		if s.Synced() && acked == assigned && rep.a.Watermark() == assigned {
 			return
 		}
-		// The shipper only flushes inside commits and bootstraps: nudge it
-		// with an empty-cost commit via a throwaway mutation-free flush.
-		s.mu.Lock()
-		if !s.needsBootstrap && !s.bootstrapping && !s.closed && !s.fenced {
-			s.flushLocked(s.meter)
-		}
-		s.mu.Unlock()
 		time.Sleep(2 * time.Millisecond)
 	}
 	acked, assigned := s.Watermark()
@@ -184,9 +192,14 @@ func TestReplPairShipsEverything(t *testing.T) {
 	waitSynced(t, s, rep)
 	verifyReplica(t, rep, expect)
 
-	st := p.AggregateStats()
-	if st.Events[sim.CtrReplShipped] == 0 {
-		t.Fatal("CtrReplShipped = 0 on the primary")
+	// Every frame ever assigned was shipped and acked, and the sender's
+	// meter, not a partition's, counted it.
+	st := s.Stats()
+	if shipped := st.Sender.Events[sim.CtrReplShipped]; shipped == 0 || shipped != st.Assigned {
+		t.Fatalf("sender shipped %d frames, want Assigned = %d", shipped, st.Assigned)
+	}
+	if got := p.AggregateStats().Events[sim.CtrReplShipped]; got != 0 {
+		t.Fatalf("partitions counted %d shipped frames, want 0: the round trip is the sender's", got)
 	}
 	if rep.a.Writable() {
 		t.Fatal("unpromoted replica is writable")
@@ -235,9 +248,16 @@ func TestReplFlakyLinkMatrix(t *testing.T) {
 func TestShipperMigratesToFreshReplica(t *testing.T) {
 	rep := startReplicaNode(t, 55)
 	p, s, m := startPrimaryPool(t, 55, rep.addr, nil)
+	// A fresh shipper's first stream to a fresh replica is a bootstrap
+	// whose reset is seq 1, as Node.Attach's is when it re-protects a
+	// shard: the replica takes it as a reset the first time.
+	s.MigrateTo(rep.addr, client.Options{})
 
 	expect := loadKeys(t, p, m, "m", 80)
 	waitSynced(t, s, rep)
+	if got := s.Stats().Bootstraps; got != 1 {
+		t.Fatalf("first stream to a fresh replica ran %d bootstraps, want 1", got)
+	}
 
 	// New (empty) target comes up; the stream re-aims and bootstraps.
 	spare := startReplicaNode(t, 55)
@@ -249,6 +269,11 @@ func TestShipperMigratesToFreshReplica(t *testing.T) {
 	}
 	waitSynced(t, s, spare)
 	verifyReplica(t, spare, expect)
+	// The fresh spare takes the bootstrap's reset as a reset the first
+	// time: one bootstrap, not a refused one and a retry.
+	if got := s.Stats().Bootstraps - 1; got != 1 {
+		t.Fatalf("migration to a fresh replica ran %d bootstraps, want 1", got)
+	}
 
 	// The old replica is simply abandoned mid-history; the new one is
 	// complete. (Cutover/promotion is the cluster layer's job.)
@@ -326,4 +351,174 @@ func TestBootstrapDropsPendingRun(t *testing.T) {
 	s.mu.Unlock()
 	waitSynced(t, s, rep)
 	verifyReplica(t, rep, expect)
+}
+
+// replicaGate holds every payload that reaches the replica while it is
+// shut, counting them. It starts open, shuts once and opens for good.
+type replicaGate struct {
+	shut    atomic.Bool
+	held    atomic.Int32
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newReplicaGate() *replicaGate {
+	return &replicaGate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (g *replicaGate) wrap(apply replicateFn) replicateFn {
+	return func(m *sim.Meter, payload []byte) (uint64, uint8) {
+		if g.shut.Load() {
+			g.held.Add(1)
+			select {
+			case g.entered <- struct{}{}:
+			default:
+			}
+			<-g.release
+		}
+		return apply(m, payload)
+	}
+}
+
+// open lets the held payload and every later one through.
+func (g *replicaGate) open() {
+	if g.shut.Swap(false) {
+		close(g.release)
+	}
+}
+
+// keyOn returns a key of the given prefix that routes to partition part.
+func keyOn(p *core.Partitioned, m *sim.Meter, prefix string, part int) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("%s%d", prefix, i); p.Route(m, []byte(k)) == part {
+			return k
+		}
+	}
+}
+
+// within runs fn and fails the test if it has not returned in 10 s.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never completed", what)
+	}
+}
+
+// setAsync issues one Set and reports its result on the returned channel.
+func setAsync(p *core.Partitioned, m *sim.Meter, key, val string) <-chan error {
+	done := make(chan error, 1)
+	go func() { done <- p.Set(m, []byte(key), []byte(val)) }()
+	return done
+}
+
+// TestShipperGateSealsWhileLinkBusy: the replica link is not a lock.
+// While one payload is held at the replica, another partition's drain
+// logs and seals its frame (Assigned advances) and waits; the sender
+// keeps that one payload in flight, the held commit's caller is not
+// acked, and both drains are acked once the replica answers.
+func TestShipperGateSealsWhileLinkBusy(t *testing.T) {
+	gate := newReplicaGate()
+	rep := startReplicaNodeWith(t, 67, gate.wrap)
+	p, s, _ := startPrimaryPool(t, 67, rep.addr, nil)
+	t.Cleanup(gate.open) // first: a held payload must not stall teardown
+	m0 := sim.NewMeter(p.Enclave().Model())
+	m1 := sim.NewMeter(p.Enclave().Model())
+	k0, k1 := keyOn(p, m0, "g", 0), keyOn(p, m0, "g", 1)
+
+	gate.shut.Store(true)
+	first := setAsync(p, m0, k0, "v0")
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first payload never reached the replica")
+	}
+	// Were the link a lock, Stats would block behind the held payload
+	// too, so both waits run off the test goroutine.
+	var before uint64
+	within(t, "Stats while a payload is in flight", func() { before = s.Stats().Assigned })
+	second := setAsync(p, m1, k1, "v1")
+	within(t, "the second partition's seal while a payload is in flight", func() {
+		for s.Stats().Assigned == before {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	for name, done := range map[string]<-chan error{"held": first, "second": second} {
+		select {
+		case err := <-done:
+			t.Fatalf("%s commit acked (err %v) before the replica answered", name, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	if n := gate.held.Load(); n != 1 {
+		t.Fatalf("%d payloads in flight, want 1", n)
+	}
+
+	gate.open()
+	for name, done := range map[string]<-chan error{"held": first, "second": second} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s commit: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s commit never acked after the replica answered", name)
+		}
+	}
+	waitSynced(t, s, rep)
+	verifyReplica(t, rep, map[string]string{k0: "v0", k1: "v1"})
+}
+
+// TestShipperCommitOutsideStartClose: a commit never blocks without a
+// running sender — before Start, with a payload in flight when Close
+// runs, or after Close. Frames sealed before Start ship once it runs.
+func TestShipperCommitOutsideStartClose(t *testing.T) {
+	gate := newReplicaGate()
+	rep := startReplicaNodeWith(t, 69, gate.wrap)
+	e := testEnclave(69)
+	p := core.NewPartitioned(e, 2, core.Defaults(64))
+	s := NewShipper(p, ShipperOptions{Addr: rep.addr, Logf: t.Logf})
+	for i := 0; i < p.Parts(); i++ {
+		p.SetJournal(i, s.Tee(i, nil))
+	}
+	p.Start()
+	t.Cleanup(p.Stop)
+	t.Cleanup(s.Close)
+	t.Cleanup(gate.open) // first: a held payload must not stall teardown
+	m := sim.NewMeter(e.Model())
+	returns := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never returned", what)
+		}
+	}
+
+	returns("commit before Start", setAsync(p, m, "early", "1"))
+	s.Start()
+	waitSynced(t, s, rep)
+	verifyReplica(t, rep, map[string]string{"early": "1"})
+
+	// A payload held at the replica when Close runs: Close drops the link
+	// and the waiting commit returns.
+	gate.shut.Store(true)
+	held := setAsync(p, m, "held", "2")
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("payload never reached the replica")
+	}
+	s.Close()
+	returns("commit in flight at Close", held)
+	returns("commit after Close", setAsync(p, m, "late", "3"))
 }

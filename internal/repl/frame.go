@@ -2,13 +2,15 @@
 // shipping (DESIGN.md §15). The primary tees every journaled mutation
 // into a Shipper, which appends it to a pending run of records; each
 // group commit seals that run as one frame — one seal, one chain MAC, one
-// sequence number — and ships batches of frames over the wire protocol's
-// CmdReplicate command. The replica's Applier verifies the chain, unseals
-// each frame once, replays its run through its own partition workers as
-// one batch and acks a durable watermark. Because the primary's group
-// commit (core.GroupJournal) runs before any client acknowledgement, a
-// client ack implies the replica has acked the mutation — the invariant
-// failover correctness rests on.
+// sequence number — and the Shipper's one sender ships the sealed frames
+// in batches over the wire protocol's CmdReplicate command, one batch in
+// flight. The replica's Applier verifies the chain, unseals each frame
+// once, replays its run through its own partition workers as one batch
+// and acks a durable watermark. Because the primary's group commit
+// (core.GroupJournal) waits for that ack before any client
+// acknowledgement, a client ack implies the replica has acked the
+// mutation while the link is up — the invariant failover correctness
+// rests on.
 //
 // Frame layout (all integers little-endian):
 //
@@ -21,10 +23,11 @@
 // applied. The run is core.AppendMutationRun's { recLen(4) | record }*,
 // each record the core.AppendMutation record the write-ahead log seals.
 // A frame whose sealed run is empty is a reset, the chain genesis: it is
-// MAC'd against a zero previous tag and instructs the replica to wipe its
-// partitions and restart the chain at the reset's sequence — the first
-// frame of every bootstrap snapshot stream. A chained frame must carry at
-// least one record.
+// MAC'd against the fixed non-zero genesis tag and instructs the replica
+// to wipe its partitions and restart the chain at the reset's sequence —
+// the first frame of every bootstrap snapshot stream. A fresh chain starts
+// at the zero tag, so a reset never verifies as a fresh chain's
+// continuation. A chained frame must carry at least one record.
 package repl
 
 import (
@@ -80,11 +83,19 @@ type chainState struct {
 // chainLabel is the key-derivation label for the replication MAC chain.
 // Its version is the frame format's: a peer built for another layout
 // derives another key, so its frames fail the chain check and are
-// refused instead of misparsed. v2 carries runs and drops the part field.
-const chainLabel = "repl-chain-v2"
+// refused instead of misparsed. v2 carries runs and drops the part field;
+// v3 MACs a reset against genesis instead of the zero tag.
+const chainLabel = "repl-chain-v3"
+
+// genesis is the previous tag a reset frame is MAC'd against. It must
+// differ from the zero tag a fresh chain starts at: were they equal, a
+// reset sent to a fresh replica would verify as a continuation too, and
+// the two frame kinds could not be told apart.
+var genesis = [cmac.Size]byte{'r', 'e', 'p', 'l', ' ', 'g', 'e', 'n', 'e', 's', 'i', 's'}
 
 // newChain derives the replication chain key from the enclave's sealing
-// identity and starts the chain at the zero tag (genesis).
+// identity and starts the chain at the zero tag: a stream that begins
+// without a reset continues from there.
 //
 //ss:seals — derives and holds the chain key inside trusted state.
 func newChain(e *sgx.Enclave) *chainState {
@@ -111,11 +122,11 @@ func (c *chainState) release() {
 	c.mac = nil
 }
 
-// reset rewinds the chain to genesis (zero previous tag) — done on both
-// ends around a reset frame.
+// reset rewinds the chain to genesis — done by the sender before it
+// seals a reset frame.
 //
 //ss:seals — mutates only the trusted running tag.
-func (c *chainState) reset() { c.last = [cmac.Size]byte{} }
+func (c *chainState) reset() { c.last = genesis }
 
 // extend computes the next chain tag over last||body, advances the chain
 // and returns the tag. Charges the CMAC pass to m.
@@ -147,13 +158,12 @@ func (c *chainState) check(m *sim.Meter, model *sim.CostModel, body, tag []byte)
 	return true
 }
 
-// checkGenesis verifies tag as a chain restart (zero previous tag); on
-// success the chain adopts it. Used for reset frames only.
+// checkGenesis verifies tag as a chain restart (genesis previous tag);
+// on success the chain adopts it. Used for reset frames only.
 //
 //ss:seals — conditionally restarts the trusted chain tag.
 func (c *chainState) checkGenesis(m *sim.Meter, model *sim.CostModel, body, tag []byte) bool {
-	var zero [cmac.Size]byte
-	c.scratch = append(c.scratch[:0], zero[:]...)
+	c.scratch = append(c.scratch[:0], genesis[:]...)
 	c.scratch = append(c.scratch, body...)
 	m.Count(sim.CtrCMAC)
 	m.Charge(model.CMAC(len(c.scratch)))

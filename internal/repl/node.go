@@ -142,7 +142,9 @@ func (n *Node) Attach(addr string) uint8 {
 
 // StatsLines renders the node's replication state as "name=value" lines
 // for the server's CmdStats answer — the wire surface of satellite
-// visibility: watermark lag, sync/fence flags, role and epoch.
+// visibility: watermark lag, sync/fence flags, role and epoch, and the
+// sender's round trips and cycles (frames per payload is
+// Δrepl_assigned / Δrepl_payloads).
 func (n *Node) StatsLines() []string {
 	n.mu.Lock()
 	sh := n.shipper
@@ -163,6 +165,8 @@ func (n *Node) StatsLines() []string {
 		lines = append(lines,
 			fmt.Sprintf("repl_acked=%d", st.Acked),
 			fmt.Sprintf("repl_assigned=%d", st.Assigned),
+			fmt.Sprintf("repl_payloads=%d", st.Sender.Events[sim.CtrNetMessage]),
+			fmt.Sprintf("repl_send_cycles=%d", st.Sender.Cycles),
 			fmt.Sprintf("repl_lag=%d", st.Lag()),
 			"repl_synced="+b2s(st.Synced),
 			"repl_fenced="+b2s(st.Fenced),
@@ -173,22 +177,6 @@ func (n *Node) StatsLines() []string {
 		lines = append(lines, fmt.Sprintf("repl_watermark=%d", n.applier.Watermark()))
 	}
 	return lines
-}
-
-// ReplicaMeters returns the meters replication work accrues to, for
-// callers aggregating shard cost (both may be nil).
-func (n *Node) ReplicaMeters() []*sim.Meter {
-	n.mu.Lock()
-	sh := n.shipper
-	n.mu.Unlock()
-	var ms []*sim.Meter
-	if sh != nil {
-		ms = append(ms, sh.Meter())
-	}
-	if n.applier != nil {
-		ms = append(ms, n.applier.Meter())
-	}
-	return ms
 }
 
 // Close retires the node's replication engines in dependency order:

@@ -281,7 +281,7 @@ func TestApplierPromotionSurvivesRestart(t *testing.T) {
 	}
 }
 
-// v1Frame encodes a frame of the previous format: one bare record per
+// v1Frame encodes a frame of the v1 format: one bare record per
 // frame, a part(2) header field, and a chain under "repl-chain-v1".
 func v1Frame(m *sim.Meter, e *sgx.Enclave, chain *chainState, seq uint64, rec []byte) []byte {
 	blob := e.Seal(m, rec)
@@ -295,32 +295,43 @@ func v1Frame(m *sim.Meter, e *sgx.Enclave, chain *chainState, seq uint64, rec []
 	return append(out, tag[:]...)
 }
 
-// TestApplierRefusesV1Stream: a peer built for the previous frame format
-// is refused with StatusError, and nothing it sends is applied. Its own
-// layout fails to decode, and a stream in the current layout under its
-// chain key ("repl-chain-v1") fails the chain check, bootstrap reset
-// included — so its records are never misparsed.
-func TestApplierRefusesV1Stream(t *testing.T) {
-	e := testEnclave(9)
-	m := sim.NewMeter(e.Model())
-	key := e.DeriveKey("repl-chain-v1")
+// oldChain is a fresh chain (zero tag) under an earlier format's label.
+// Earlier formats MAC'd a reset against the zero tag too, so a fresh
+// oldChain's first frame is also that format's bootstrap reset.
+func oldChain(t *testing.T, e *sgx.Enclave, label string) *chainState {
+	t.Helper()
+	key := e.DeriveKey(label)
 	mac, err := cmac.New(key.Bytes()[:16])
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := &chainState{mac: mac, key: key}
-	t.Cleanup(v1.release)
+	c := &chainState{mac: mac, key: key}
+	t.Cleanup(c.release)
+	return c
+}
+
+// TestApplierRefusesV1Stream: a peer built for an earlier frame format
+// is refused with StatusError, and nothing it sends is applied. A v1
+// peer's own layout fails to decode, and a stream in the current layout
+// under the v1 or v2 chain key ("repl-chain-v1", "repl-chain-v2") fails
+// the chain check, bootstrap reset included — so its records are never
+// misparsed.
+func TestApplierRefusesV1Stream(t *testing.T) {
+	e := testEnclave(9)
+	m := sim.NewMeter(e.Model())
 	op := core.BatchOp{Kind: core.BatchSet, Key: []byte("k"), Value: []byte("v")}
 	set := core.AppendMutation(nil, op)
 
 	streams := map[string][]byte{}
+	v1 := oldChain(t, e, "repl-chain-v1")
 	streams["v1 layout bootstrap"] = concat(v1Frame(m, e, v1, 1, nil), v1Frame(m, e, v1, 2, set))
-	v1.reset()
-	streams["v1 layout chained"] = v1Frame(m, e, v1, 1, set)
-	v1.reset()
-	streams["v1 key bootstrap"] = concat(encodeFrame(m, e, v1, 1, 1, nil), encodeFrame(m, e, v1, 2, 1, appendRun(nil, op)))
-	v1.reset()
-	streams["v1 key chained"] = encodeFrame(m, e, v1, 1, 1, appendRun(nil, op))
+	streams["v1 layout chained"] = v1Frame(m, e, oldChain(t, e, "repl-chain-v1"), 1, set)
+	for _, v := range []string{"v1", "v2"} {
+		label := "repl-chain-" + v
+		c := oldChain(t, e, label)
+		streams[v+" key bootstrap"] = concat(encodeFrame(m, e, c, 1, 1, nil), encodeFrame(m, e, c, 2, 1, appendRun(nil, op)))
+		streams[v+" key chained"] = encodeFrame(m, e, oldChain(t, e, label), 1, 1, appendRun(nil, op))
+	}
 	for name, payload := range streams {
 		p, a, am := newTestApplier(t, 9, "")
 		if wm, st := a.Apply(am, payload); st != proto.StatusError || wm != 0 {
@@ -332,6 +343,45 @@ func TestApplierRefusesV1Stream(t *testing.T) {
 		if got := am.Events(sim.CtrReplApplied); got != 0 {
 			t.Fatalf("%s: CtrReplApplied = %d, want 0", name, got)
 		}
+	}
+}
+
+// TestApplierTakesResetOnFreshChain: a fresh applier's chain is at the
+// zero tag, a reset's MAC is over genesis, so a bootstrap arriving at a
+// fresh replica is applied as a reset the first time — whether its reset
+// is seq 1 (a fresh shipper, as when a node re-protects its shard) or
+// well past it (a migrated stream).
+func TestApplierTakesResetOnFreshChain(t *testing.T) {
+	for _, from := range []uint64{0, 40} {
+		s := newTestSender(9)
+		p, a, m := newTestApplier(t, 9, "")
+		s.seq = from
+		wm, st := a.Apply(m, concat(s.reset(), s.frame(core.BatchSet, "k", "v", 0)))
+		if st != proto.StatusOK || wm != from+2 {
+			t.Fatalf("bootstrap from seq %d to a fresh applier = (%d, %d), want (%d, OK)", from+1, wm, st, from+2)
+		}
+		mustGet(t, p, m, "k", "v")
+	}
+}
+
+// TestApplierSeqMismatchKeepsChain: a frame whose MAC extends the chain
+// but whose sequence is not the next one is not applied, and the chain
+// stays where it was, so the honest frame at that sequence still
+// verifies.
+func TestApplierSeqMismatchKeepsChain(t *testing.T) {
+	p, a, m := newTestApplier(t, 9, "")
+	skip := newTestSender(9)
+	skip.seq = 1 // seq 2, MAC'd over the fresh chain's zero tag
+	if wm, st := a.Apply(m, skip.frame(core.BatchSet, "x", "1", 0)); st == proto.StatusOK || wm != 0 {
+		t.Fatalf("out-of-sequence frame = (%d, %d), want watermark 0 and a refusal", wm, st)
+	}
+	honest := newTestSender(9)
+	if wm, st := a.Apply(m, honest.frame(core.BatchSet, "y", "2", 0)); st != proto.StatusOK || wm != 1 {
+		t.Fatalf("honest frame after the refusal = (%d, %d), want (1, OK)", wm, st)
+	}
+	mustGet(t, p, m, "y", "2")
+	if _, err := p.Get(m, []byte("x")); err != core.ErrNotFound {
+		t.Fatalf("out-of-sequence record applied: %v", err)
 	}
 }
 

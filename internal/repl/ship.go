@@ -1,8 +1,11 @@
 // The primary side of replication: the Shipper tees every journaled
-// mutation into a pending run, seals each group commit's run as one
-// MAC-chained frame and ships the stream to the replica inside the worker
-// pool's group commit — before any client acknowledgement — so a client
-// ack always implies a replica ack.
+// mutation into a pending run and seals each group commit's run as one
+// MAC-chained frame. One sender goroutine owns the replica link and ships
+// everything sealed since its last round trip as one payload, at most one
+// payload in flight. A partition worker's group commit only seals and
+// waits — off the shipper's mutex — until the replica acks its frame,
+// before any client acknowledgement, so a client ack always implies a
+// replica ack while the link is up.
 package repl
 
 import (
@@ -66,31 +69,48 @@ type shipFrame struct {
 // (NewShipper), wrap every partition journal with Tee (or
 // persist.HealerOptions.WrapJournal), Start it, and the worker pool's
 // group commit does the rest: append to the pending run on journal, seal
-// it and flush+ack on Commit.
+// it and wait for the replica's ack on Commit.
 //
-// All mutable state is under mu; partition workers (logOp/Commit) and
-// the bootstrap goroutine serialize on it. Commit holds mu across the
-// network flush — the price of the group-commit guarantee — so a wedged
-// replica link stalls that partition's acknowledgements rather than
-// acking writes the replica never saw.
+// All mutable state is under mu, but mu is never held across the
+// network. Partition workers take it to append and seal, the bootstrap
+// goroutine to restart the stream, and the one sender goroutine to build
+// a payload and to apply its reply. A committing worker releases mu while
+// it waits for the acked watermark, so a wedged replica link stalls the
+// acknowledgements of the drains waiting on it, never another partition's
+// seal — and never acks a write the replica has not seen.
 type Shipper struct {
 	p       *core.Partitioned
 	enclave *sgx.Enclave
 	opts    ShipperOptions
 	meter   *sim.Meter // bootstrap/background costs: not request cost
+	// sendMeter takes the sender's costs: each round trip's HotCall,
+	// syscall and NIC charges, and the frames it saw acked. Like meter it
+	// is no partition worker's. It is charged and read only under mu.
+	sendMeter *sim.Meter
 
-	mu    sync.Mutex
-	chain *chainState
-	seq   uint64 // last assigned frame sequence
-	acked uint64 // replica's durable watermark
-	buf   []shipFrame
+	mu sync.Mutex
+	// ackMoved wakes the commits waiting on the watermark. It is broadcast
+	// when acked advances, the link fails, gen moves, or the shipper is
+	// fenced or closed.
+	ackMoved *sync.Cond
+	chain    *chainState
+	seq      uint64 // last assigned frame sequence
+	acked    uint64 // replica's durable watermark
+	buf      []shipFrame
 	// pending is the open run: records logged since the last seal, from
 	// every partition, in log order. A record logged through a journal
 	// detached mid-drain still ships with the next commit on any
 	// partition.
 	pending []byte
+	// gen names the stream's state. It moves whenever a bootstrap is
+	// scheduled or starts, so a reply to a payload of an older gen is
+	// stale and dropped.
+	gen uint64
+	// downs counts link failures: a commit waiting across one returns.
+	downs      uint64
+	bootstraps uint64
 
-	conn      *client.Client
+	conn      *client.Client // owned by the sender; Close and MigrateTo only close it
 	down      bool
 	downUntil time.Time
 	backoff   time.Duration
@@ -99,11 +119,13 @@ type Shipper struct {
 	fenced         bool
 	needsBootstrap bool
 	bootstrapping  bool
+	started        bool
 	closed         bool
 
 	bootWake chan struct{}
+	sendWake chan struct{}
 	quit     chan struct{}
-	done     chan struct{}
+	workers  sync.WaitGroup
 }
 
 // NewShipper builds a shipper for pool p targeting opts.Addr. Wire the
@@ -124,25 +146,41 @@ func NewShipper(p *core.Partitioned, opts ShipperOptions) *Shipper {
 	if opts.MaxBackoff == 0 {
 		opts.MaxBackoff = time.Second
 	}
-	return &Shipper{
-		p:        p,
-		enclave:  p.Enclave(),
-		opts:     opts,
-		meter:    sim.NewMeter(p.Enclave().Model()),
-		chain:    newChain(p.Enclave()),
-		rng:      rand.New(rand.NewSource(1)),
-		bootWake: make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+	s := &Shipper{
+		p:         p,
+		enclave:   p.Enclave(),
+		opts:      opts,
+		meter:     sim.NewMeter(p.Enclave().Model()),
+		sendMeter: sim.NewMeter(p.Enclave().Model()),
+		chain:     newChain(p.Enclave()),
+		rng:       rand.New(rand.NewSource(1)),
+		bootWake:  make(chan struct{}, 1),
+		sendWake:  make(chan struct{}, 1),
+		quit:      make(chan struct{}),
 	}
+	s.ackMoved = sync.NewCond(&s.mu)
+	return s
 }
 
-// Start launches the bootstrap worker. Call after Partitioned.Start.
-func (s *Shipper) Start() { go s.bootstrapLoop() }
+// Start launches the bootstrap worker and the sender. Call after
+// Partitioned.Start. Frames sealed before Start ship once it runs.
+func (s *Shipper) Start() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.started || s.closed {
+		return
+	}
+	s.started = true
+	s.workers.Add(2)
+	go s.bootstrapLoop()
+	go s.sendLoop()
+}
 
-// Close stops the bootstrap worker and drops the link. Buffered frames
-// are abandoned (the replica re-syncs from whoever ships next). Call
-// before Partitioned.Stop — the bootstrap worker uses RunCtl.
+// Close stops the bootstrap worker and the sender and drops the link:
+// closing the connection unblocks an in-flight round trip, and every
+// waiting commit returns. Buffered frames are abandoned (the replica
+// re-syncs from whoever ships next). Call before Partitioned.Stop — the
+// bootstrap worker uses RunCtl.
 func (s *Shipper) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -150,21 +188,22 @@ func (s *Shipper) Close() {
 		return
 	}
 	s.closed = true
-	s.mu.Unlock()
-	close(s.quit)
-	<-s.done
-	s.mu.Lock()
 	if s.conn != nil {
 		s.conn.Close()
 		s.conn = nil
 	}
+	s.ackMoved.Broadcast()
+	s.mu.Unlock()
+	close(s.quit)
+	s.workers.Wait()
+	s.mu.Lock()
 	s.chain.release()
 	s.mu.Unlock()
 }
 
 // Tee wraps a partition's journal so every logged mutation is also
-// appended to the replication run, and the worker's group commit seals,
-// flushes and waits for the replica's ack. inner may be nil (replication
+// appended to the replication run, and the worker's group commit seals
+// it and waits for the replica's ack. inner may be nil (replication
 // without local durability). part is unused: the run is shared by every
 // partition.
 func (s *Shipper) Tee(part int, inner core.Journal) core.GroupJournal {
@@ -189,9 +228,9 @@ func (t *tee) LogOp(m *sim.Meter, kind core.BatchKind, key, value []byte, delta 
 	return t.inner.LogOp(m, kind, key, value, delta)
 }
 
-// Commit is the group-commit barrier: seal the pending run, flush every
-// buffered frame and return only once the replica acked them (or the
-// failure was absorbed into a buffered/bootstrap state that keeps the
+// Commit is the group-commit barrier: seal the pending run, hand it to
+// the sender and return only once the replica acked it (or the failure
+// was absorbed into a buffered/bootstrap state that keeps the
 // single-failure guarantee). A Fenced shipper fails the commit — the
 // mutations of this drain are retracted, because a promoted replica will
 // never count them.
@@ -221,17 +260,21 @@ func (s *Shipper) sealLocked(m *sim.Meter) {
 	// While the link is down and no bootstrap is running, a full buffer
 	// tips over into bootstrap mode: drop the tail, re-sync from snapshot.
 	if s.down && !s.bootstrapping && !s.needsBootstrap && len(s.buf) >= s.opts.MaxBuffer {
-		s.buf = s.buf[:0]
-		s.needsBootstrap = true
-		s.wake()
-		s.logf("repl: unacked buffer overflow, scheduling bootstrap")
+		s.scheduleBootstrapLocked("unacked buffer overflow")
 	}
 	s.seq++
 	s.buf = append(s.buf, shipFrame{seq: s.seq, data: encodeFrame(m, s.enclave, s.chain, s.seq, s.opts.Epoch, s.pending)})
 	s.pending = s.pending[:0]
 }
 
-// commit implements the group-commit barrier (see tee.Commit).
+// commit implements the group-commit barrier (see tee.Commit). The
+// worker pays the seal and one HotCall-priced hand-off; the round trip
+// is the sender's. It returns nil once the acked watermark covers every
+// frame sealed so far — this drain's records are in one of them — or at
+// once when there is no sender (before Start, after Close), a bootstrap
+// is pending or running, or the link is in its backoff window. A link
+// failure or a bootstrap scheduled while it waits also returns nil, and
+// a fence returns core.ErrFenced.
 func (s *Shipper) commit(m *sim.Meter) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,10 +289,19 @@ func (s *Shipper) commit(m *sim.Meter) error {
 		s.wake()
 		return nil
 	}
-	if s.down && time.Now().Before(s.downUntil) {
-		return nil // buffering through the outage
+	if !s.started || s.acked >= s.seq || s.down && time.Now().Before(s.downUntil) {
+		return nil // nothing to wait for, or buffering through the outage
 	}
-	return s.flushLocked(m)
+	want, gen, downs := s.seq, s.gen, s.downs
+	s.enclave.HotCall(m)
+	s.wakeSender()
+	for s.acked < want && s.gen == gen && s.downs == downs && !s.fenced && !s.closed {
+		s.ackMoved.Wait()
+	}
+	if s.acked < want && s.fenced {
+		return core.ErrFenced
+	}
+	return nil
 }
 
 // wake pokes the bootstrap worker (non-blocking; the channel latches).
@@ -260,105 +312,125 @@ func (s *Shipper) wake() {
 	}
 }
 
+// wakeSender tells the sender there are frames to ship (non-blocking;
+// the channel latches).
+func (s *Shipper) wakeSender() {
+	select {
+	case s.sendWake <- struct{}{}:
+	default:
+	}
+}
+
 func (s *Shipper) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
 	}
 }
 
-// flushLocked ships the unacked buffer in MaxBatchBytes chunks until it
-// drains or the link degrades. Caller holds mu. Transport failures and
-// re-syncable server states return nil (the frames stay buffered or a
-// bootstrap is scheduled); only fencing is a hard error.
+// sendLoop is the sender: the one goroutine that dials and uses the
+// replica link. Each round it ships the unacked buffer's head — all that
+// was sealed since its last round trip, up to MaxBatchBytes — as one
+// CmdReplicate payload and waits for the reply with mu released, so at
+// most one payload is in flight and no partition waits on the link to
+// seal. It idles while there is nothing to ship, the stream is fenced or
+// bootstrapping, or the link is in its backoff window.
 //
 //ss:ocall — shipping crosses the enclave boundary per payload.
-func (s *Shipper) flushLocked(m *sim.Meter) error {
+func (s *Shipper) sendLoop() {
+	defer s.workers.Done()
 	gapRetries := 0
-	for len(s.buf) > 0 {
-		if s.conn == nil && !s.redialLocked() {
-			return nil
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return
 		}
-		payload := s.buildPayload()
-		s.enclave.Syscall(m, true)
-		m.Charge(s.enclave.Model().NIC(len(payload)))
-		m.Count(sim.CtrNetMessage)
-		status, watermark, err := s.conn.Replicate(payload)
-		if err != nil {
-			s.conn.Close()
-			s.conn = nil
-			s.markDown()
-			s.logf("repl: ship to %s failed: %v", s.opts.Addr, err)
-			return nil
-		}
-		s.down = false
-		s.backoff = 0
-		// Fencing wins over every watermark heuristic: a promoted replica's
-		// watermark is from its new life and must not be "repaired" around —
-		// the stream is dead, this node is an ex-primary.
-		if status == proto.StatusFenced {
-			s.fenced = true
-			s.logf("repl: fenced by replica at %s (newer epoch)", s.opts.Addr)
-			return core.ErrFenced
-		}
-		// Watermark sanity: the two ends can restart independently, and
-		// either restart desyncs the stream in a way statuses alone don't
-		// surface. A watermark past anything this shipper ever assigned
-		// means the replica is on a previous life's stream and is
-		// dup-skipping our frames (seq below its horizon) while "acking"
-		// them — jump past its horizon and re-sync. A watermark below what
-		// it already acked means the replica lost applied history (it
-		// restarted) — re-sync it from a snapshot.
-		if watermark > s.seq {
-			s.seq = watermark
-			s.scheduleBootstrapLocked("replica watermark ahead of stream (primary restarted)")
-			return nil
-		}
-		if watermark < s.acked {
-			s.scheduleBootstrapLocked("replica watermark regressed (replica restarted)")
-			return nil
-		}
-		// Trim everything the replica now vouches for.
-		if watermark > s.acked {
-			s.acked = watermark
-		}
-		trimmed := 0
-		for trimmed < len(s.buf) && s.buf[trimmed].seq <= s.acked {
-			trimmed++
-		}
-		s.buf = s.buf[trimmed:]
-		for i := 0; i < trimmed; i++ {
-			m.Count(sim.CtrReplShipped)
-		}
-		switch status {
-		case proto.StatusOK:
-			// Chunk fully applied; keep draining.
-		case proto.StatusReplGap:
-			// Prefix applied; the replica wants a resend from acked+1. If
-			// the gap persists (e.g. the replica keeps failing the apply)
-			// give up for this commit — the frames stay buffered.
-			if len(s.buf) > 0 && s.buf[0].seq > s.acked+1 {
-				// The replica needs frames we no longer hold: re-sync.
-				s.scheduleBootstrapLocked("replica behind retained buffer")
-				return nil
+		backoff, ready := s.readyLocked()
+		if !ready {
+			s.mu.Unlock()
+			if !s.idle(backoff) {
+				return
 			}
-			gapRetries++
-			if gapRetries > 3 {
-				s.markDown()
-				return nil
-			}
-		default:
-			// Chain break, malformed stream, or replica-side corruption:
-			// the stream state is unrecoverable in place. Re-sync.
-			s.scheduleBootstrapLocked(fmt.Sprintf("replica rejected stream (status %d)", status))
-			return nil
+			continue
 		}
+		conn, gen := s.conn, s.gen
+		if conn == nil {
+			addr, link := s.opts.Addr, s.opts.Link
+			s.enclave.Syscall(s.sendMeter, false)
+			s.mu.Unlock()
+			c, err := client.Dial(addr, link)
+			s.mu.Lock()
+			s.dialedLocked(c, err, gen)
+			s.mu.Unlock()
+			continue
+		}
+		payload := s.buildPayloadLocked()
+		s.mu.Unlock()
+		status, watermark, err := conn.Replicate(payload)
+		s.mu.Lock()
+		gapRetries = s.replyLocked(conn, gen, status, watermark, err, gapRetries)
+		s.mu.Unlock()
 	}
-	return nil
 }
 
-// buildPayload concatenates buffered frames up to MaxBatchBytes and runs
-// the armed flaky-link faults against the chunk.
-func (s *Shipper) buildPayload() []byte {
+// readyLocked reports whether the sender has frames to ship now; if not,
+// backoff is how long the link's backoff window still runs (0: until a
+// wake-up). Caller holds mu.
+func (s *Shipper) readyLocked() (backoff time.Duration, ready bool) {
+	if s.fenced || s.needsBootstrap || s.bootstrapping || len(s.buf) == 0 {
+		return 0, false
+	}
+	if s.down {
+		if d := time.Until(s.downUntil); d > 0 {
+			return d, false
+		}
+	}
+	return 0, true
+}
+
+// idle parks the sender until it is woken, the backoff window (if any)
+// ends, or the shipper closes; it reports false on close.
+func (s *Shipper) idle(backoff time.Duration) bool {
+	var expired <-chan time.Time
+	if backoff > 0 {
+		t := time.NewTimer(backoff)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case <-s.quit:
+		return false
+	case <-s.sendWake:
+	case <-expired:
+	}
+	return true
+}
+
+// dialedLocked installs a connection the sender dialed at gen, or
+// records the failure. A connection dialed for a stream state that has
+// since moved (a retarget, a bootstrap) is closed; the next round
+// redials. Caller holds mu.
+func (s *Shipper) dialedLocked(c *client.Client, err error, gen uint64) {
+	if err != nil {
+		if gen == s.gen && !s.closed {
+			s.markDown()
+		}
+		return
+	}
+	if gen != s.gen || s.closed {
+		c.Close()
+		return
+	}
+	s.conn = c
+	s.down = false
+	s.backoff = 0
+}
+
+// buildPayloadLocked concatenates buffered frames up to MaxBatchBytes,
+// runs the armed flaky-link faults against the chunk and charges the
+// round trip's crossing and NIC costs to the sender's meter. Caller
+// holds mu.
+func (s *Shipper) buildPayloadLocked() []byte {
 	frames := make([][]byte, 0, len(s.buf))
 	total := 0
 	for _, f := range s.buf {
@@ -373,11 +445,14 @@ func (s *Shipper) buildPayload() []byte {
 	for _, f := range frames {
 		payload = append(payload, f...)
 	}
+	s.enclave.Syscall(s.sendMeter, true)
+	s.sendMeter.Charge(s.enclave.Model().NIC(len(payload)))
+	s.sendMeter.Count(sim.CtrNetMessage)
 	return payload
 }
 
 // injectLinkFaults applies armed drop/dup/reorder faults to one outgoing
-// chunk, at frame granularity.
+// chunk, at frame granularity. Caller holds mu.
 func (s *Shipper) injectLinkFaults(frames [][]byte) [][]byte {
 	p := s.opts.Faults
 	if p == nil || len(frames) == 0 {
@@ -386,48 +461,115 @@ func (s *Shipper) injectLinkFaults(frames [][]byte) [][]byte {
 	if p.Hit(fault.PointReplDrop) {
 		i := p.Pick(len(frames))
 		frames = append(frames[:i:i], frames[i+1:]...)
-		s.meter.Count(sim.CtrFaultInjected)
+		s.sendMeter.Count(sim.CtrFaultInjected)
 	}
 	if len(frames) > 0 && p.Hit(fault.PointReplDup) {
 		i := p.Pick(len(frames))
 		frames = append(frames, nil)
 		copy(frames[i+1:], frames[i:])
 		frames[i+1] = frames[i]
-		s.meter.Count(sim.CtrFaultInjected)
+		s.sendMeter.Count(sim.CtrFaultInjected)
 	}
 	if len(frames) > 1 && p.Hit(fault.PointReplReorder) {
 		i := p.Pick(len(frames) - 1)
 		frames[i], frames[i+1] = frames[i+1], frames[i]
-		s.meter.Count(sim.CtrFaultInjected)
+		s.sendMeter.Count(sim.CtrFaultInjected)
 	}
 	return frames
 }
 
-// redialLocked attempts to (re)establish the replica link, honoring the
-// capped, jittered backoff window. Caller holds mu.
-//
-//ss:ocall — dialing is a host crossing.
-func (s *Shipper) redialLocked() bool {
-	now := time.Now()
-	if s.down && now.Before(s.downUntil) {
-		return false
-	}
-	s.enclave.Syscall(s.meter, false)
-	c, err := client.Dial(s.opts.Addr, s.opts.Link)
+// replyLocked applies the reply to a payload shipped on conn at gen and
+// returns the updated count of consecutive gap replies. A transport
+// failure closes conn and, if it is still the link, marks the link down;
+// a reply from a link or stream state that has since been replaced is
+// dropped. Transport failures and re-syncable replica states leave the
+// frames buffered or schedule a bootstrap; fencing latches. Caller holds
+// mu.
+func (s *Shipper) replyLocked(conn *client.Client, gen uint64, status uint8, watermark uint64, err error, gapRetries int) int {
 	if err != nil {
-		s.markDown()
-		return false
+		conn.Close()
+		if conn == s.conn {
+			s.conn = nil
+			s.markDown()
+			s.logf("repl: ship to %s failed: %v", s.opts.Addr, err)
+		}
+		return 0
 	}
-	s.conn = c
+	if gen != s.gen || conn != s.conn {
+		return 0
+	}
 	s.down = false
 	s.backoff = 0
-	return true
+	// Fencing wins over every watermark heuristic: a promoted replica's
+	// watermark is from its new life and must not be "repaired" around —
+	// the stream is dead, this node is an ex-primary.
+	if status == proto.StatusFenced {
+		s.fenced = true
+		s.ackMoved.Broadcast()
+		s.logf("repl: fenced by replica at %s (newer epoch)", s.opts.Addr)
+		return 0
+	}
+	// Watermark sanity: the two ends can restart independently, and
+	// either restart desyncs the stream in a way statuses alone don't
+	// surface. A watermark past anything this shipper ever assigned
+	// means the replica is on a previous life's stream and is
+	// dup-skipping our frames (seq below its horizon) while "acking"
+	// them — jump past its horizon and re-sync. A watermark below what
+	// it already acked means the replica lost applied history (it
+	// restarted) — re-sync it from a snapshot.
+	if watermark > s.seq {
+		s.seq = watermark
+		s.scheduleBootstrapLocked("replica watermark ahead of stream (primary restarted)")
+		return 0
+	}
+	if watermark < s.acked {
+		s.scheduleBootstrapLocked("replica watermark regressed (replica restarted)")
+		return 0
+	}
+	// Trim everything the replica now vouches for.
+	if watermark > s.acked {
+		s.acked = watermark
+		s.ackMoved.Broadcast()
+	}
+	trimmed := 0
+	for trimmed < len(s.buf) && s.buf[trimmed].seq <= s.acked {
+		trimmed++
+	}
+	s.buf = s.buf[trimmed:]
+	s.sendMeter.CountN(sim.CtrReplShipped, uint64(trimmed))
+	switch status {
+	case proto.StatusOK:
+		// Chunk fully applied; keep draining.
+		return 0
+	case proto.StatusReplGap:
+		// Prefix applied; the replica wants a resend from acked+1. If
+		// the gap persists (e.g. the replica keeps failing the apply)
+		// back off — the frames stay buffered.
+		if len(s.buf) > 0 && s.buf[0].seq > s.acked+1 {
+			// The replica needs frames we no longer hold: re-sync.
+			s.scheduleBootstrapLocked("replica behind retained buffer")
+			return 0
+		}
+		if gapRetries++; gapRetries > 3 {
+			s.markDown()
+			return 0
+		}
+		return gapRetries
+	default:
+		// Chain break, malformed stream, or replica-side corruption:
+		// the stream state is unrecoverable in place. Re-sync.
+		s.scheduleBootstrapLocked(fmt.Sprintf("replica rejected stream (status %d)", status))
+		return 0
+	}
 }
 
-// markDown records a link failure and arms the next backoff window
-// (exponential, capped, ±25% jitter).
+// markDown records a link failure, arms the next backoff window
+// (exponential, capped, ±25% jitter) and releases the commits waiting on
+// the link. Caller holds mu.
 func (s *Shipper) markDown() {
 	s.down = true
+	s.downs++
+	s.ackMoved.Broadcast()
 	if s.backoff == 0 {
 		s.backoff = s.opts.Backoff
 	} else if s.backoff < s.opts.MaxBackoff {
@@ -441,10 +583,12 @@ func (s *Shipper) markDown() {
 }
 
 // scheduleBootstrapLocked abandons the stream state and queues a full
-// re-sync. Caller holds mu.
+// re-sync; the commits waiting on the old stream return. Caller holds mu.
 func (s *Shipper) scheduleBootstrapLocked(why string) {
 	s.buf = s.buf[:0]
 	s.needsBootstrap = true
+	s.gen++
+	s.ackMoved.Broadcast()
 	s.wake()
 	s.logf("repl: scheduling bootstrap: %s", why)
 }
@@ -509,6 +653,12 @@ type ShipStats struct {
 	// Down reports the replica link in its backoff window;
 	// Bootstrapping that a full re-sync is pending or running.
 	Down, Bootstrapping bool
+	// Bootstraps counts the full re-syncs started.
+	Bootstraps uint64
+	// Sender is the sender's meter: CtrNetMessage counts payloads (round
+	// trips), CtrReplShipped the frames they saw acked, and Cycles the
+	// link's HotCall, syscall and NIC cost.
+	Sender sim.Stats
 }
 
 // Lag returns the unacked frame window (assigned - acked).
@@ -532,6 +682,8 @@ func (s *Shipper) Stats() ShipStats {
 		Fenced:        s.fenced,
 		Down:          s.down,
 		Bootstrapping: s.needsBootstrap || s.bootstrapping,
+		Bootstraps:    s.bootstraps,
+		Sender:        s.sendMeter.Snapshot(),
 	}
 }
 
@@ -548,22 +700,19 @@ func (s *Shipper) SetEpoch(epoch uint64) {
 	}
 }
 
-// Meter exposes the shipper's own meter (bootstrap costs accrue here).
-func (s *Shipper) Meter() *sim.Meter { return s.meter }
-
 // bootstrapLoop is the background re-sync worker. It owns the three-phase
 // bootstrap: (1) under mu, drop the unshipped frames and the pending run
 // and restart the chain with a reset frame; (2) per partition, on that
 // partition's own worker via RunCtl, snapshot every live entry into Set
 // records on the shared run — the worker is parked for exactly its own
 // partition's scan, so per-key mutation order is preserved and siblings
-// keep serving; (3) seal the run, flush everything and hand the stream
-// back to the commit path. Runs on its own goroutine: a Commit that finds
+// keep serving; (3) seal the run and hand the stream back to the sender
+// and the commit path. Runs on its own goroutine: a Commit that finds
 // bootstrap pending just pokes this loop and returns (a bounded degraded
 // window), because snapshotting from inside a worker's commit would
 // deadlock the pool.
 func (s *Shipper) bootstrapLoop() {
-	defer close(s.done)
+	defer s.workers.Done()
 	for {
 		select {
 		case <-s.quit:
@@ -577,6 +726,8 @@ func (s *Shipper) bootstrapLoop() {
 		}
 		s.needsBootstrap = false
 		s.bootstrapping = true
+		s.bootstraps++
+		s.gen++
 		s.buf = s.buf[:0]
 		s.pending = s.pending[:0]
 		s.chain.reset()
@@ -607,9 +758,7 @@ func (s *Shipper) bootstrapLoop() {
 		s.bootstrapping = false
 		if !s.closed && !s.needsBootstrap {
 			s.sealLocked(s.meter)
-			if err := s.flushLocked(s.meter); err != nil {
-				s.logf("repl: bootstrap flush: %v", err)
-			}
+			s.wakeSender()
 		}
 		s.mu.Unlock()
 	}
