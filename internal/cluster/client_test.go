@@ -224,6 +224,16 @@ func TestClusterStress(t *testing.T) {
 	})
 	const workers = 8
 	const rounds = 30
+	// Each worker also appends one suffix per round to a key only it
+	// owns, inside the scatter-gather batch, so the readback knows the
+	// exact value: a dropped or doubled append shows.
+	appKey := func(w int) []byte { return []byte(fmt.Sprintf("st-app-%d", w)) }
+	suffix := func(r int) string { return fmt.Sprintf("|%02d", r) }
+	for w := 0; w < workers; w++ {
+		if err := c.Set(appKey(w), []byte(fmt.Sprintf("base-%d", w))); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -237,6 +247,7 @@ func TestClusterStress(t *testing.T) {
 					ops = append(ops, client.SetOp(k, []byte(fmt.Sprintf("val-%d", w))),
 						client.GetOp(k))
 				}
+				ops = append(ops, client.AppendOp(appKey(w), []byte(suffix(r))))
 				for i, res := range c.Batch(ops...) {
 					if res.Err != nil {
 						errCh <- fmt.Errorf("worker %d round %d op %d: %w", w, r, i, res.Err)
@@ -269,6 +280,13 @@ func TestClusterStress(t *testing.T) {
 			if err != nil || string(v) != fmt.Sprintf("val-%d", w) {
 				t.Fatalf("readback %s = %q, %v", k, v, err)
 			}
+		}
+		want := fmt.Sprintf("base-%d", w)
+		for r := 0; r < rounds; r++ {
+			want += suffix(r)
+		}
+		if v, err := c.Get(appKey(w)); err != nil || string(v) != want {
+			t.Fatalf("readback %s = %q, %v; want %q", appKey(w), v, err, want)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 // The cluster harness: launches N in-process shieldstore shard servers —
 // each its own simulated enclave, partitioned worker pool, optional
-// self-healing plane, and pipelined TCP front-end — for tests,
-// benchmarks, and the shieldstore-ycsb -selfhost-shards mode. A harness
-// shard is exactly what one shieldstore-server process would run; only
-// the process boundary is elided.
+// self-healing plane, and pipelined TCP front-end — for tests and
+// benchmarks. A harness shard is exactly what one shieldstore-server
+// process would run; only the process boundary is elided.
 package cluster
 
 import (

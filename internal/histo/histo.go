@@ -1,6 +1,6 @@
 // Package histo provides a small log-bucketed histogram for latency
 // distributions. The store records each operation's virtual-cycle latency
-// into one; the networked load generator records wall-clock latencies.
+// into one; so does the virtual-time cluster experiment, per request.
 // Recording is allocation-free and O(1); quantiles are approximate with
 // ~19% worst-case relative error (power-of-two buckets with four
 // sub-buckets per octave).

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -301,6 +302,73 @@ func TestShipperBuffersThroughReplicaOutage(t *testing.T) {
 	s.MigrateTo(rep2.addr, client.Options{})
 	waitSynced(t, s, rep2)
 	verifyReplica(t, rep2, expect)
+}
+
+// TestShipperOverflowBootstraps: with the replica down, a primary that
+// keeps writing fills the unacked buffer to maxBuffer frames; the next
+// seal abandons the buffer and schedules one bootstrap instead. No write
+// fails, and a fresh replica the stream then migrates to converges.
+func TestShipperOverflowBootstraps(t *testing.T) {
+	rep := startReplicaNode(t, 79)
+	e := testEnclave(79)
+	p := core.NewPartitioned(e, 2, core.Defaults(64))
+	var logMu sync.Mutex
+	var logged []string
+	s := NewShipper(p, ShipperOptions{Addr: rep.addr, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+		t.Logf(format, args...)
+	}})
+	for i := 0; i < p.Parts(); i++ {
+		p.SetJournal(i, s.Tee(i, nil))
+	}
+	p.Start()
+	t.Cleanup(p.Stop)
+	s.Start()
+	t.Cleanup(s.Close)
+	m := sim.NewMeter(e.Model())
+
+	expect := loadKeys(t, p, m, "o", 20)
+	waitSynced(t, s, rep)
+	rep.srv.Close()
+
+	// One Set is one drain and seals one frame, so the buffer overflows
+	// after about maxBuffer sets; a missing overflow check runs out the cap.
+	sets := 0
+	for s.Stats().Bootstraps == 0 {
+		if sets == 2*maxBuffer {
+			t.Fatalf("no bootstrap after %d sets with the replica down", sets)
+		}
+		k, v := fmt.Sprintf("o-hot%02d", sets%64), fmt.Sprintf("v%d", sets)
+		if err := p.Set(m, []byte(k), []byte(v)); err != nil {
+			t.Fatalf("Set %d with the replica down: %v", sets, err)
+		}
+		expect[k] = v
+		sets++
+	}
+	t.Logf("buffer overflowed after %d sets", sets)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Bootstrapping {
+		if time.Now().After(deadline) {
+			t.Fatal("overflow bootstrap never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Stats().Bootstraps; got != 1 {
+		t.Fatalf("overflow took %d bootstraps, want 1", got)
+	}
+	logMu.Lock()
+	overflowed := strings.Contains(strings.Join(logged, "\n"), "unacked buffer overflow")
+	logMu.Unlock()
+	if !overflowed {
+		t.Fatal(`log never said "unacked buffer overflow"`)
+	}
+
+	spare := startReplicaNode(t, 79)
+	s.MigrateTo(spare.addr, client.Options{})
+	waitSynced(t, s, spare)
+	verifyReplica(t, spare, expect)
 }
 
 // TestShipperSealsOneFramePerCommit: a 32-set batch drains as one group

@@ -34,15 +34,6 @@ type ShipperOptions struct {
 	// replica promoted past this epoch rejects the stream with
 	// StatusFenced and the shipper latches Fenced.
 	Epoch uint64
-	// MaxBuffer bounds how many frames may sit unacked while the replica
-	// link is down (default 65536). A frame is one group commit's worth of
-	// records (at most maxRunBytes of them). Overflow abandons the
-	// buffered tail and schedules a full bootstrap instead — acked writes
-	// are still safe on the primary; the replica just re-syncs from a
-	// snapshot.
-	MaxBuffer int
-	// MaxBatchBytes bounds one CmdReplicate payload (default 1 MiB).
-	MaxBatchBytes int
 	// Backoff / MaxBackoff bound the link-redial backoff window
 	// (defaults 5ms / 1s).
 	Backoff    time.Duration
@@ -54,10 +45,20 @@ type ShipperOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// maxRunBytes is the size at which a pending run is sealed before its
-// commit, bounding one frame — and the replica's apply batch — well under
-// MaxBatchBytes.
-const maxRunBytes = 64 << 10
+const (
+	// maxBuffer bounds how many frames may sit unacked while the replica
+	// link is down. A frame is one group commit's worth of records (at
+	// most maxRunBytes of them). Overflow abandons the buffered tail and
+	// schedules a full bootstrap instead — acked writes are still safe on
+	// the primary; the replica just re-syncs from a snapshot.
+	maxBuffer = 1 << 16
+	// maxBatchBytes bounds one CmdReplicate payload.
+	maxBatchBytes = 1 << 20
+	// maxRunBytes is the size at which a pending run is sealed before its
+	// commit, bounding one frame — and the replica's apply batch — well
+	// under maxBatchBytes.
+	maxRunBytes = 64 << 10
+)
 
 // shipFrame is one encoded, unacked frame in the shipper's buffer.
 type shipFrame struct {
@@ -133,12 +134,6 @@ type Shipper struct {
 func NewShipper(p *core.Partitioned, opts ShipperOptions) *Shipper {
 	if opts.Epoch == 0 {
 		opts.Epoch = 1
-	}
-	if opts.MaxBuffer == 0 {
-		opts.MaxBuffer = 1 << 16
-	}
-	if opts.MaxBatchBytes == 0 {
-		opts.MaxBatchBytes = 1 << 20
 	}
 	if opts.Backoff == 0 {
 		opts.Backoff = 5 * time.Millisecond
@@ -259,7 +254,7 @@ func (s *Shipper) sealLocked(m *sim.Meter) {
 	}
 	// While the link is down and no bootstrap is running, a full buffer
 	// tips over into bootstrap mode: drop the tail, re-sync from snapshot.
-	if s.down && !s.bootstrapping && !s.needsBootstrap && len(s.buf) >= s.opts.MaxBuffer {
+	if s.down && !s.bootstrapping && !s.needsBootstrap && len(s.buf) >= maxBuffer {
 		s.scheduleBootstrapLocked("unacked buffer overflow")
 	}
 	s.seq++
@@ -329,7 +324,7 @@ func (s *Shipper) logf(format string, args ...any) {
 
 // sendLoop is the sender: the one goroutine that dials and uses the
 // replica link. Each round it ships the unacked buffer's head — all that
-// was sealed since its last round trip, up to MaxBatchBytes — as one
+// was sealed since its last round trip, up to maxBatchBytes — as one
 // CmdReplicate payload and waits for the reply with mu released, so at
 // most one payload is in flight and no partition waits on the link to
 // seal. It idles while there is nothing to ship, the stream is fenced or
@@ -426,7 +421,7 @@ func (s *Shipper) dialedLocked(c *client.Client, err error, gen uint64) {
 	s.backoff = 0
 }
 
-// buildPayloadLocked concatenates buffered frames up to MaxBatchBytes,
+// buildPayloadLocked concatenates buffered frames up to maxBatchBytes,
 // runs the armed flaky-link faults against the chunk and charges the
 // round trip's crossing and NIC costs to the sender's meter. Caller
 // holds mu.
@@ -434,7 +429,7 @@ func (s *Shipper) buildPayloadLocked() []byte {
 	frames := make([][]byte, 0, len(s.buf))
 	total := 0
 	for _, f := range s.buf {
-		if total > 0 && total+len(f.data) > s.opts.MaxBatchBytes {
+		if total > 0 && total+len(f.data) > maxBatchBytes {
 			break
 		}
 		frames = append(frames, f.data)

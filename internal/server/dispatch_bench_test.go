@@ -1,4 +1,4 @@
-// Wall-clock dispatch benchmarks: loadgen over a real loopback socket,
+// Wall-clock dispatch benchmarks: one client over a real loopback socket,
 // synchronous (one in-flight request per connection) versus pipelined
 // (64 frames on the wire per flush). These complement the virtual-time
 // `-run dispatch` experiment in internal/bench: virtual cycles prove the
